@@ -4,8 +4,8 @@ Runs the paper's full architecture (2 KB L1, 2 MB-class L2 of 16x16
 tiles, 16-entry round-robin TLB) end to end over the bench-scale City
 and Village traces twice — once with the batched kernels, once with the
 per-access reference loops — and asserts the two contracts of the
-kernels: bit-identical per-frame results on both workloads, and >= 3x
-end-to-end simulation speedup on City.
+kernels: bit-identical per-frame results and >= 3x end-to-end
+simulation speedup, on both workloads.
 
 Timings land in ``BENCH_l2_kernel.json`` at the repo root so successive
 runs leave a trajectory of the kernel's throughput.
@@ -59,11 +59,11 @@ def test_batched_kernels_speedup_and_identity(benchmark):
             "l2_accesses": sum(f.l2.accesses for f in batched.frames),
         }
 
-    speedup = timings["city"]["speedup"]
-    assert speedup >= MIN_SPEEDUP, (
-        f"end-to-end hierarchy speedup regressed: {speedup:.2f}x < "
-        f"{MIN_SPEEDUP}x ({timings['city']})"
-    )
+    for workload, timing in timings.items():
+        assert timing["speedup"] >= MIN_SPEEDUP, (
+            f"end-to-end hierarchy speedup regressed on {workload}: "
+            f"{timing['speedup']:.2f}x < {MIN_SPEEDUP}x ({timing})"
+        )
 
     ARTIFACT.write_text(
         json.dumps(

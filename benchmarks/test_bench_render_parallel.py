@@ -15,8 +15,11 @@ The speedup floor is conditional on CPU count: a single-core container
 still proves identity (the shards really render in separate supervised
 processes) but cannot prove parallel scaling, so the floor is recorded
 but only enforced when ``len(os.sched_getaffinity(0)) >= 4``. The
-artifact at ``BENCH_render_parallel.json`` records the CPU count so a
-reader can tell which regime produced the numbers.
+workers here are requested explicitly, so they are not clamped; the
+artifact at ``BENCH_render_parallel.json`` records the CPU count, and
+the job count ``render --jobs N`` would actually use for each N
+(clamped to the CPUs), so a reader can tell which regime produced the
+numbers.
 """
 
 import hashlib
@@ -28,7 +31,7 @@ import time
 from pathlib import Path
 
 from repro.experiments.config import Scale
-from repro.experiments.traces import render_trace_stream
+from repro.experiments.traces import clamp_render_jobs, render_trace_stream
 from repro.texture.sampler import FilterMode
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_render_parallel.json"
@@ -103,6 +106,9 @@ def test_parallel_render_speedup_and_identity(benchmark):
                 "scale": SCALE.name,
                 "frames": SCALE.frames,
                 "cpus": cpus,
+                # What `render --jobs N` / $REPRO_JOBS=N runs here: the
+                # request clamped to the available CPUs (1 = serial).
+                "effective_jobs": {str(w): clamp_render_jobs(w) for w in WORKER_COUNTS},
                 "min_speedup": MIN_SPEEDUP,
                 "speedup_floor_enforced": enforced,
                 "rounds": ROUNDS,

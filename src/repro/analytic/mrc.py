@@ -12,13 +12,15 @@ sizes:
 
 * the packed reference stream, Morton set codes, frame ids and (when
   sampling) the coarsest-set partition are computed once;
-* per size, a single packed-key sort (``set << 40 | position``) groups
-  accesses by set while preserving temporal order. For the paper's 1- and
+* per size, one stable sort by set groups accesses by set while
+  preserving temporal order. For the paper's 1- and
   2-way geometries the hit test then needs no distance counting at all:
   within a set, an access hits a 1-way cache iff it extends the current
   same-block *run*, and hits a 2-way cache iff additionally the same
   block's previous run is exactly two runs back (stack distance 1 — the
-  single intervening run is the one distinct other block). General
+  single intervening run is the one distinct other block). That test is
+  the simulator's own kernel,
+  :func:`~repro.core.l1_cache.run_lru_misses`, started cold. General
   associativities fall back to exact per-set stack distances over the
   set-grouped stream (blocks never span sets, so windows stay inside one
   set segment);
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analytic.stack_distance import hash_sample_mask, stack_distances
-from repro.core.l1_cache import L1CacheConfig
+from repro.core.l1_cache import L1CacheConfig, run_lru_misses, sort_by_set
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -51,9 +53,6 @@ __all__ = [
 
 #: The paper's Fig 9 L1 sweep (2-32 KB), the default size set.
 PAPER_L1_SIZES = tuple(k * 1024 for k in (2, 4, 8, 16, 32))
-
-_POS_BITS = 40
-_POS_MASK = np.int64((1 << _POS_BITS) - 1)
 
 
 @dataclass(frozen=True)
@@ -161,36 +160,23 @@ class L1SweepPoint:
         return 1.0 - self.miss_rate
 
 
-def _sorted_hits(r_sorted: np.ndarray, seg: np.ndarray, ways: int) -> np.ndarray:
-    """Per-access LRU hit mask over a set-grouped, time-ordered stream.
+def _grouped_misses(
+    refs: np.ndarray, codes: np.ndarray, config: L1CacheConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, miss)``: the set-grouped order and each slot's LRU miss.
 
-    ``r_sorted`` holds block tags grouped by set (segment) with temporal
-    order preserved inside each segment; ``seg`` is the segment id per slot.
+    ``codes`` are the Morton tile codes of a non-empty ``refs`` stream.
     """
-    n = len(r_sorted)
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    run_start[1:] = (seg[1:] != seg[:-1]) | (r_sorted[1:] != r_sorted[:-1])
-    if ways == 1:
-        return ~run_start
-    if ways == 2:
-        ridx = np.cumsum(run_start) - 1
-        starts = np.flatnonzero(run_start)
-        run_blocks = r_sorted[starts]
-        run_segs = seg[starts]
-        prev2 = np.maximum(ridx - 2, 0)
-        # Distance-1 hit: this block's previous run is exactly two runs
-        # back in the same set, leaving one distinct block in the window.
-        two_back = (
-            (ridx >= 2)
-            & (run_blocks[prev2] == r_sorted)
-            & (run_segs[prev2] == seg)
-        )
-        return (~run_start) | two_back
+    order, sets = sort_by_set(codes & np.int64(config.n_sets - 1), config.n_sets)
+    tags = refs[order]
+    if config.ways <= 2:
+        # The simulator's run kernel, starting from an empty cache.
+        empty = np.full(config.n_sets, -1, dtype=np.int64)
+        return order, run_lru_misses(tags, sets, config.ways, empty, empty.copy())
     # General associativity: exact per-set stack distances. Blocks belong
     # to exactly one set, so reuse windows never cross segment boundaries.
-    d = stack_distances(r_sorted)
-    return (d >= 0) & (d < ways)
+    d = stack_distances(tags)
+    return order, (d < 0) | (d >= config.ways)
 
 
 def _trace_stream(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,23 +250,10 @@ def l1_mrc_sweep(
     frame_reads = np.bincount(
         frame_of, weights=weights.astype(np.float64), minlength=n_frames
     ).astype(np.int64)
-    positions = np.arange(n, dtype=np.int64)
 
     out: dict[int, L1SweepPoint] = {}
     for config in configs:
-        if n == 0:
-            zeros = np.zeros(n_frames, dtype=np.int64)
-            out[config.size_bytes] = L1SweepPoint(
-                config.size_bytes, config.n_sets, config.ways,
-                0, 0, 0, zeros, zeros.copy(),
-            )
-            continue
-        sets = codes & np.int64(config.n_sets - 1)
-        skey = np.sort((sets << np.int64(_POS_BITS)) | positions)
-        order = skey & _POS_MASK
-        seg = skey >> np.int64(_POS_BITS)
-        hits = _sorted_hits(refs[order], seg, config.ways)
-        miss_slots = ~hits
+        order, miss_slots = _grouped_misses(refs, codes, config)
         frame_misses = np.bincount(
             frame_of[order][miss_slots], minlength=n_frames
         ).astype(np.int64)
@@ -308,14 +281,11 @@ def l1_hit_mask(trace: Trace, config: L1CacheConfig) -> np.ndarray:
     n = len(refs)
     if n == 0:
         return np.empty(0, dtype=bool)
-    codes = trace.address_space.l1_tile_codes(refs)
-    sets = codes & np.int64(config.n_sets - 1)
-    skey = np.sort((sets << np.int64(_POS_BITS)) | np.arange(n, dtype=np.int64))
-    order = skey & _POS_MASK
-    seg = skey >> np.int64(_POS_BITS)
-    hits_sorted = _sorted_hits(refs[order], seg, config.ways)
+    order, miss = _grouped_misses(
+        refs, trace.address_space.l1_tile_codes(refs), config
+    )
     hit = np.empty(n, dtype=bool)
-    hit[order] = hits_sorted
+    hit[order] = ~miss
     return hit
 
 

@@ -8,13 +8,14 @@ the set index mixes both tile-coordinate axes (Hakura's "6D blocked
 representation", fixed across L2 configurations per §3.3; computed by
 :meth:`repro.texture.tiling.AddressSpace.l1_set_indices`).
 
-Simulation is exactly per-set LRU, but vectorized: for a 2-way LRU set, the
-cache state after any reference is history-determined — the MRU way holds
-the last reference and the LRU way holds the most recent *different*
-reference — regardless of hits or misses. Both are computable with a
-grouped scan (stable sort by set, shift, forward-fill), so whole frames
-simulate in a handful of numpy passes. Direct-mapped caches vectorize the
-same way.
+Simulation is exactly per-set LRU, but vectorized. After a stable sort by
+set, a *run* is a maximal stretch of one tag within a set (a set's first
+access continues the carried MRU's run if it repeats that tag). A 1-way
+access hits iff it continues a run; a 2-way access also hits when its tag
+heads the run two runs back in its set, the carried LRU/MRU standing in
+for a set's first/second run. A touched set's new MRU/LRU are the heads of
+its last two runs. :func:`run_lru_misses` needs no forward-fill, and the
+analytic layer (:mod:`repro.analytic.mrc`) runs the same kernel cold.
 
 General associativities (3 ways and up) use the recency-level kernel the
 TLB introduced (:meth:`repro.core.tlb.TextureTableTLB._access_lru_batched`),
@@ -35,9 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.texture.tiling import L1_BLOCK_BYTES
+from repro.texture.tiling import L1_BLOCK_BYTES, set_index_dtype
 
-__all__ = ["L1CacheConfig", "L1FrameResult", "L1CacheSim"]
+__all__ = [
+    "L1CacheConfig", "L1FrameResult", "L1CacheSim", "run_lru_misses", "sort_by_set",
+]
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,58 @@ class L1FrameResult:
 #: Widest associativity the recency-level kernel handles; each way is one
 #: grouped forward-fill pass, so past this the reference loop wins anyway.
 _MAX_STACKED_WAYS = 64
+
+
+def run_lru_misses(
+    tags: np.ndarray,
+    sets: np.ndarray,
+    ways: int,
+    mru: np.ndarray,
+    lru: np.ndarray,
+) -> np.ndarray:
+    """Per-slot miss mask of a 1- or 2-way LRU cache, by the run rule.
+
+    ``tags``/``sets`` are a non-empty stream in :func:`sort_by_set` order.
+    ``mru``/``lru`` hold every set's carried tags (``-1`` when invalid)
+    and are updated in place; ``lru`` is left alone for ``ways == 1``.
+    """
+    first = np.append(0, np.flatnonzero(sets[1:] != sets[:-1]) + 1)
+    # A slot starts a run when its tag differs from the previous tag in its
+    # set; a set's first slot compares against the carried MRU instead.
+    miss = np.empty(len(tags), dtype=bool)
+    np.not_equal(tags[1:], tags[:-1], out=miss[1:])
+    miss[first] = tags[first] != mru[sets[first]]
+    starts = np.flatnonzero(miss)
+    if len(starts) == 0:
+        return miss
+    heads = tags[starts]
+    run_sets = sets[starts]
+    first_run = np.append(True, run_sets[1:] != run_sets[:-1])
+    last_run = np.append(first_run[1:], True)
+    if ways == 2:
+        # Head of the run one back in the same set (the carried MRU for a
+        # set's first run): the MRU while this run starts.
+        prev = np.roll(heads, 1)
+        prev[first_run] = mru[run_sets[first_run]]
+        # Two runs back: the previous run's ``prev`` (the carried MRU for
+        # a set's second run), or the carried LRU for a set's first run.
+        back2 = np.roll(prev, 1)
+        back2[first_run] = lru[run_sets[first_run]]
+        miss[starts] = heads != back2
+        lru[run_sets[last_run]] = prev[last_run]
+    mru[run_sets[last_run]] = heads[last_run]
+    return miss
+
+
+def sort_by_set(sets: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order grouping accesses by set, and the sets in that order.
+
+    Sorts the narrowest key: a stable sort of 8-/16-bit keys is a radix
+    sort, several times faster than int64.
+    """
+    key = sets.astype(set_index_dtype(n_sets), copy=False)
+    order = np.argsort(key, kind="stable")
+    return order, key[order]
 
 
 class L1CacheSim:
@@ -229,7 +284,7 @@ class L1CacheSim:
         """
         refs = np.asarray(refs, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.int64)
-        sets = np.asarray(sets, dtype=np.int64)
+        sets = np.asarray(sets)
         if not (len(refs) == len(weights) == len(sets)):
             raise ValueError("refs, weights, sets must have equal length")
         texel_reads = int(weights.sum())
@@ -237,13 +292,17 @@ class L1CacheSim:
             return L1FrameResult(0, 0, 0, np.empty(0, dtype=np.int64))
 
         if self.engine == "vectorized":
-            hit = self._access_vectorized(refs, sets)
+            order, s = sort_by_set(sets, self.config.n_sets)
+            miss = np.empty(len(refs), dtype=bool)
+            miss[order] = run_lru_misses(
+                refs[order], s, self.config.ways, self._mru, self._lru
+            )
         elif self.engine == "stacked":
-            hit = self._access_stacked(refs, sets)
+            miss = self._access_stacked(refs, sets)
         else:
-            hit = self._access_general(refs, sets)
+            miss = self._access_general(refs, sets)
 
-        miss_positions = np.flatnonzero(~hit)
+        miss_positions = np.flatnonzero(miss)
         return L1FrameResult(
             texel_reads=texel_reads,
             accesses=len(refs),
@@ -252,66 +311,6 @@ class L1CacheSim:
         )
 
     # ------------------------------------------------------------------
-    def _access_vectorized(self, refs: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """Exact per-set LRU for 1- and 2-way caches, in numpy passes."""
-        n = len(refs)
-        # Set indices are tiny (tens to hundreds of sets); sorting them as
-        # uint16 instead of int64 makes the stable sort several times
-        # faster, and the sort dominates the whole frame pass.
-        if self.config.n_sets <= 1 << 16:
-            order = np.argsort(sets.astype(np.uint16), kind="stable")
-        else:
-            order = np.argsort(sets, kind="stable")
-        s = sets[order]
-        t = refs[order]
-
-        group_start = np.empty(n, dtype=bool)
-        group_start[0] = True
-        np.not_equal(s[1:], s[:-1], out=group_start[1:])
-
-        # MRU way content before each access: the previous reference in the
-        # set, or the carried inter-frame state at group starts.
-        mru_before = np.empty(n, dtype=np.int64)
-        mru_before[1:] = t[:-1]
-        mru_before[group_start] = self._mru[s[group_start]]
-        changed = t != mru_before
-
-        # A group's last access sits right before the next group's start.
-        group_end = np.empty(n, dtype=bool)
-        group_end[-1] = True
-        group_end[:-1] = group_start[1:]
-
-        if self.config.ways == 1:
-            hit_sorted = ~changed
-            # Writeback: the last reference of each group is the new content.
-            self._mru[s[group_end]] = t[group_end]
-        else:
-            # LRU way content before each access: forward-fill of "the most
-            # recent reference different from the MRU". A new LRU value is
-            # defined wherever the previous access changed the MRU (the old
-            # MRU got demoted), and at group starts (carried state).
-            vals = np.empty(n, dtype=np.int64)
-            inner_def = np.zeros(n, dtype=bool)
-            inner_def[1:] = changed[:-1]
-            inner_def &= ~group_start
-            define = group_start | inner_def
-            vals[group_start] = self._lru[s[group_start]]
-            vals[1:][inner_def[1:]] = mru_before[:-1][inner_def[1:]]
-            last_def = np.maximum.accumulate(
-                np.where(define, np.arange(n), -1)
-            )
-            lru_before = vals[last_def]
-            hit_sorted = (~changed) | (t == lru_before)
-
-            self._mru[s[group_end]] = t[group_end]
-            new_lru = np.where(changed, mru_before, lru_before)
-            self._lru[s[group_end]] = new_lru[group_end]
-
-        # Back to original access order.
-        hit = np.empty(n, dtype=bool)
-        hit[order] = hit_sorted
-        return hit
-
     def _access_stacked(self, refs: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """Exact per-set LRU for any associativity via recency levels.
 
@@ -325,11 +324,7 @@ class L1CacheSim:
         """
         n = len(refs)
         ways = self.config.ways
-        if self.config.n_sets <= 1 << 16:
-            order = np.argsort(sets.astype(np.uint16), kind="stable")
-        else:
-            order = np.argsort(sets, kind="stable")
-        s = sets[order]
+        order, s = sort_by_set(sets, self.config.n_sets)
         t = refs[order]
 
         group_start = np.empty(n, dtype=bool)
@@ -383,24 +378,24 @@ class L1CacheSim:
             )
         self._stack[s[group_end]] = new_stack
 
-        hit = np.empty(n, dtype=bool)
-        hit[order] = in_top
-        return hit
+        miss = np.empty(n, dtype=bool)
+        miss[order] = ~in_top
+        return miss
 
     def _access_general(self, refs: np.ndarray, sets: np.ndarray) -> np.ndarray:
         """Reference N-way LRU implementation (explicit per-access loop)."""
         ways = self.config.ways
         lines = self._sets_general
-        hit = np.empty(len(refs), dtype=bool)
+        miss = np.empty(len(refs), dtype=bool)
         for i, (tag, set_idx) in enumerate(zip(refs.tolist(), sets.tolist())):
             content = lines[set_idx]
             if tag in content:
                 content.remove(tag)
                 content.append(tag)  # most recent at the back
-                hit[i] = True
+                miss[i] = False
             else:
                 if len(content) >= ways:
                     content.pop(0)
                 content.append(tag)
-                hit[i] = False
-        return hit
+                miss[i] = True
+        return miss

@@ -140,9 +140,9 @@ class TextureTableTLB:
         before access ``i`` is simply the previous access; level ``k`` takes
         the old level ``k-1`` value exactly when the previous access sat at
         stack depth >= k (i.e. missed the top ``k-1`` levels), which is a
-        grouped forward-fill — the L1 simulator's 2-way construction
-        iterated ``cap`` times. A hit is a match on any level. TLBs bigger
-        than the paper ever sweeps fall back to the O(n log n)
+        grouped forward-fill, iterated ``cap`` times (the L1's stacked
+        kernel does the same per set). A hit is a match on any level. TLBs
+        bigger than the paper ever sweeps fall back to the O(n log n)
         stack-distance engine, whose cost does not grow with capacity.
         """
         cap = self.n_entries

@@ -34,6 +34,7 @@ __all__ = [
     "render_trace",
     "render_trace_stream",
     "resolve_render_jobs",
+    "clamp_render_jobs",
     "clear_memory_cache",
 ]
 
@@ -119,6 +120,23 @@ def render_workers() -> int:
         return 1
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def clamp_render_jobs(jobs: int) -> int:
+    """Render workers worth starting: at most one per available CPU.
+
+    Workers sharing a core only add start-up and merge cost (4 on a 1-CPU
+    runner rendered at about half the serial speed); 1 renders serially.
+    """
+    return max(1, min(jobs, available_cpus()))
+
+
 def resolve_render_jobs() -> int:
     """Render worker count: ``$REPRO_JOBS`` first, legacy variable second.
 
@@ -127,15 +145,16 @@ def resolve_render_jobs() -> int:
     sweep configured for 4 jobs still rendered its traces on one core.
     Now ``$REPRO_JOBS`` governs both, with the same strict typed
     validation (:class:`~repro.errors.ConfigError` on junk); the legacy
-    variable keeps its lenient semantics as the fallback. Inside a daemon
-    worker process (a sweep worker rendering a missing trace) this always
-    returns 1 — daemons cannot spawn children.
+    variable keeps its lenient semantics as the fallback. Either is
+    clamped by :func:`clamp_render_jobs`. Inside a daemon worker process
+    (a sweep worker rendering a missing trace) this always returns 1 —
+    daemons cannot spawn children.
     """
     if multiprocessing.current_process().daemon:
         return 1
     if os.environ.get("REPRO_JOBS", "").strip():
-        return default_jobs()
-    return render_workers()
+        return clamp_render_jobs(default_jobs())
+    return clamp_render_jobs(render_workers())
 
 
 def render_trace(

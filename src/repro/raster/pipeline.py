@@ -650,14 +650,3 @@ def _select(frags: Fragments, mask: np.ndarray) -> Fragments:
         v=frags.v[mask],
         lod=frags.lod[mask],
     )
-
-
-def _slice(frags: Fragments, s: int, e: int) -> Fragments:
-    return Fragments(
-        xs=frags.xs[s:e],
-        ys=frags.ys[s:e],
-        z=frags.z[s:e],
-        u=frags.u[s:e],
-        v=frags.v[s:e],
-        lod=frags.lod[s:e],
-    )

@@ -23,6 +23,12 @@ texture set, it converts packed references into ``<tid, L2, L1>`` virtual
 addresses for any L2 tile size — "straightforward ... in integer arithmetic
 in a small number of shifts, additions, and a table look-up" (§2.2), which is
 exactly how the vectorized implementation below works.
+
+The L1 set index is the Morton tile code masked to the set count. Up to
+2^16 sets only its low ``k`` bits survive, and addition commutes with
+low-bit masking, so it is two small gathers summed and masked in uint8/16:
+``base[p >> 44]`` (the level's tile base, indexed by the packed tid|mip
+field) plus ``code[low tx|ty bits]`` (the Morton code of those bits).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "pack_tile_refs",
     "unpack_tile_refs",
     "coarsen_refs",
+    "set_index_dtype",
     "PackedRefFields",
     "TextureLayout",
     "AddressSpace",
@@ -156,10 +163,11 @@ def morton2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-#: Pre-spread low bytes: ``_SPREAD8[v] == _part1by1(v)`` for v < 256. Lets
-#: the set-index fast path replace the five-step interleave with one small
-#: table gather when only a few Morton bits survive the set mask.
-_SPREAD8 = _part1by1(np.arange(256, dtype=np.int64))
+def set_index_dtype(n_sets: int) -> np.dtype:
+    """Narrowest dtype of a set index below ``n_sets`` (int64 past 2^16)."""
+    return np.dtype(
+        np.uint8 if n_sets <= 1 << 8 else np.uint16 if n_sets <= 1 << 16 else np.int64
+    )
 
 
 @dataclass(frozen=True)
@@ -404,27 +412,37 @@ class AddressSpace:
 
         Realizes the collision-avoiding "6D blocked representation" tag
         calculation of §3.3 (which the paper fixes, independent of the L2
-        tile size).
+        tile size). Equals ``l1_tile_codes(packed) & (n_sets - 1)``, in the
+        dtype :func:`set_index_dtype` picks.
         """
+        n_sets = int(n_sets)
         if n_sets < 1 or (n_sets & (n_sets - 1)):
             raise ValueError(f"n_sets must be a positive power of two, got {n_sets}")
         if n_sets > (1 << 16):
             return (self.l1_tile_codes(packed) & np.int64(n_sets - 1)).astype(np.int64)
-        # Fast path: only the low log2(n_sets) Morton bits survive the mask,
-        # and addition commutes with low-bit masking, so spread just those
-        # coordinate bits through a 256-entry table instead of unpacking and
-        # interleaving the full 22-bit coordinates.
-        k = int(n_sets).bit_length() - 1
-        xbits = (k + 1) // 2
-        ybits = k // 2
+        # Fast path (module docstring) for n_sets = 2**k: ``base[tid << 5 |
+        # mip]`` is the level's tile base and ``code[ty_low << xbits |
+        # tx_low]`` the Morton code of the ceil(k/2) low x and floor(k/2)
+        # low y bits, both masked. Their narrow sum wraps modulo a multiple
+        # of n_sets, so masking it is exact.
+        dtype = set_index_dtype(n_sets)
+        xbits = n_sets.bit_length() // 2
+        ybits = (n_sets.bit_length() - 1) // 2
+        n_tex = max(self.texture_count, 1)
+        base = np.zeros((n_tex, 1 << _MIP_BITS), dtype=dtype)
+        base[:, :MAX_MIP_LEVELS] = self.l1_tile_base.reshape(n_tex, -1) & (n_sets - 1)
+        v = np.arange(n_sets, dtype=np.int64)
+        code = morton2(v & ((1 << xbits) - 1), v >> xbits).astype(dtype)
         p = np.asarray(packed, dtype=np.int64)
-        tx = p & np.int64((1 << xbits) - 1)
-        ty = (p >> np.int64(_TY_SHIFT)) & np.int64((1 << ybits) - 1)
-        code_low = _SPREAD8[tx] | (_SPREAD8[ty] << 1)
-        key = ((p >> np.int64(_TID_SHIFT)) & np.int64(_TID_MASK)) * MAX_MIP_LEVELS + (
-            (p >> np.int64(_MIP_SHIFT)) & np.int64(_MIP_MASK)
-        )
-        return (code_low + self.l1_tile_base[key]) & np.int64(n_sets - 1)
+        # Scratch index: first ``ty_low << xbits | tx_low``, then tid|mip.
+        idx = p >> np.int64(_TY_SHIFT - xbits)
+        idx &= np.int64(((1 << ybits) - 1) << xbits)
+        idx |= p & np.int64((1 << xbits) - 1)
+        sets = code[idx]
+        np.right_shift(p, np.int64(_MIP_SHIFT), out=idx)
+        sets += base.ravel()[idx]
+        sets &= dtype.type(n_sets - 1)
+        return sets
 
     def wrap_texels(
         self, tid_or_key: np.ndarray, mip: np.ndarray, x: np.ndarray, y: np.ndarray

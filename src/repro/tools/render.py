@@ -12,6 +12,8 @@ by frame in bounded memory (the paper-scale path); pass it to
 With ``--jobs N`` (default ``$REPRO_JOBS``, falling back to the legacy
 ``$REPRO_RENDER_WORKERS``) frame shards render across N supervised worker
 processes; the output is byte-identical to a serial render whatever N is.
+N is clamped to the CPUs the process may use, and a clamp to 1 renders
+serially.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import time
 from repro.errors import ConfigError
 from repro.experiments.config import Scale
 from repro.experiments.traces import (
+    clamp_render_jobs,
     render_trace,
     render_trace_stream,
     resolve_render_jobs,
@@ -72,7 +75,8 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         default=None,
         help="render worker processes (>= 1; default $REPRO_JOBS, then the "
-             "legacy $REPRO_RENDER_WORKERS, then 1)",
+             "legacy $REPRO_RENDER_WORKERS, then 1; at most the available "
+             "CPUs)",
     )
     args = parser.parse_args(argv)
 
@@ -83,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
     else:
         try:
-            jobs = parse_jobs("--jobs", args.jobs)
+            jobs = clamp_render_jobs(parse_jobs("--jobs", args.jobs))
         except ConfigError as exc:
             parser.error(str(exc))
 

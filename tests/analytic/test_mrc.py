@@ -110,6 +110,26 @@ class TestL1HitMask:
         analytic = refs[~l1_hit_mask(trace, config)]
         assert np.array_equal(analytic, sim_miss_refs)
 
+    @pytest.mark.parametrize("ways", [1, 2])
+    @pytest.mark.parametrize("n_sets", [1, 16, 128])
+    def test_equals_sim_miss_stream_per_geometry(self, micro_trace_tri, ways, n_sets):
+        # One kernel serves both layers: the cold analytic pass over the
+        # whole animation is the simulator's frame-by-frame miss stream.
+        trace = micro_trace_tri
+        config = L1CacheConfig(size_bytes=n_sets * ways * 64, ways=ways)
+        sim = L1CacheSim(config)
+        space = trace.address_space
+        sim_miss_refs = np.concatenate(
+            [
+                sim.access_frame(
+                    f.refs, f.weights, space.l1_set_indices(f.refs, config.n_sets)
+                ).miss_refs
+                for f in trace.frames
+            ]
+        )
+        refs = np.concatenate([f.refs for f in trace.frames])
+        assert np.array_equal(refs[~l1_hit_mask(trace, config)], sim_miss_refs)
+
 
 class TestL2BlockMrc:
     def test_block_residency_bounded_and_monotone(self, micro_trace_tri):

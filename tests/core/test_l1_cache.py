@@ -1,8 +1,9 @@
 """Unit and property tests for the L1 cache simulator.
 
-The load-bearing test here is the differential property test: the
-vectorized grouped-scan LRU must match the explicit per-access reference
-implementation on arbitrary streams, including across frame boundaries.
+The load-bearing tests here are the differential property tests: the
+1-/2-way run kernel and the recency-level kernel must match the explicit
+per-access reference implementation on arbitrary streams, including
+across frame boundaries and checkpoint cuts.
 """
 
 import numpy as np
@@ -167,6 +168,86 @@ class TestVectorizedMatchesReference:
         b = ref.access_frame(refs, ones(len(refs)), sets)
         assert a.misses == b.misses
         assert a.miss_refs.tolist() == b.miss_refs.tolist()
+
+
+def as_general_sets(snapshot):
+    """A 1-/2-way snapshot in the reference loop's oldest-first list form."""
+    return [
+        [int(t) for t in (lru, mru) if t != -1]
+        for mru, lru in zip(snapshot["mru"], snapshot["lru"])
+    ]
+
+
+class TestRunKernelMatchesReference:
+    """The run kernel vs the per-access loop, state included.
+
+    Random chunking (repeated cut points give empty frames), one-set
+    caches, narrow set dtypes, and a snapshot/restore onto a fresh
+    simulator at a random frame boundary.
+    """
+
+    @given(
+        st.integers(1, 2),  # ways
+        st.integers(0, 5),  # log2 sets; 0 is a single-set cache
+        st.lists(st.integers(0, 40), min_size=0, max_size=300),
+        st.lists(st.integers(0, 300), min_size=0, max_size=6),  # cut points
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_chunked_with_snapshot_cut(
+        self, ways, log_sets, tags, cuts, data
+    ):
+        n_sets = 1 << log_sets
+        cfg = L1CacheConfig(size_bytes=n_sets * ways * 64, ways=ways)
+        refs = np.array(tags, dtype=np.int64)
+        sets = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(0, n_sets - 1),
+                    min_size=len(tags),
+                    max_size=len(tags),
+                )
+            ),
+            dtype=np.uint8,
+        )
+        bounds = [0, *sorted(min(c, len(tags)) for c in cuts), len(tags)]
+        cut = data.draw(st.integers(0, len(bounds) - 2))
+        fast = L1CacheSim(cfg)
+        ref = L1CacheSim(cfg, use_reference=True)
+        assert fast.engine == "vectorized"
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            r_fast = fast.access_frame(refs[a:b], ones(b - a), sets[a:b])
+            r_ref = ref.access_frame(refs[a:b], ones(b - a), sets[a:b])
+            assert r_fast.misses == r_ref.misses
+            assert r_fast.miss_refs.tolist() == r_ref.miss_refs.tolist()
+            snap = fast.snapshot_state()
+            assert as_general_sets(snap) == ref.snapshot_state()["sets"]
+            if ways == 1:
+                assert (snap["lru"] == -1).all()
+            if i == cut:
+                fast = L1CacheSim(cfg)
+                fast.restore_state(snap)
+
+    def test_state_update_cases(self):
+        # Set 0: no run at all (continues the carried MRU) keeps its state;
+        # set 1: one run demotes the old MRU to LRU; set 2: two runs.
+        cfg = L1CacheConfig(size_bytes=4 * 2 * 64, ways=2)
+        sim = L1CacheSim(cfg)
+        sim.restore_state(
+            {
+                "engine": "vectorized",
+                "mru": np.array([10, 11, 12, -1]),
+                "lru": np.array([20, 21, 22, -1]),
+            }
+        )
+        refs = np.array([10, 31, 10, 22, 32, 31], dtype=np.int64)
+        sets = np.array([0, 1, 0, 2, 2, 1], dtype=np.uint8)
+        res = sim.access_frame(refs, ones(6), sets)
+        # 22 hits as set 2's carried LRU; 31 re-hits as set 1's MRU.
+        assert res.miss_refs.tolist() == [31, 32]
+        snap = sim.snapshot_state()
+        assert snap["mru"].tolist() == [10, 31, 32, -1]
+        assert snap["lru"].tolist() == [20, 11, 22, -1]
 
 
 class TestGeneralAssociativity:

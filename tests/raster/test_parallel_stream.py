@@ -13,8 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import traces
 from repro.experiments.config import Scale
-from repro.experiments.traces import render_trace_stream, resolve_render_jobs
+from repro.experiments.traces import (
+    clamp_render_jobs,
+    render_trace_stream,
+    resolve_render_jobs,
+)
+from repro.tools import render as render_tool
 from repro.errors import ConfigError
 from repro.raster.parallel import plan_shards
 from repro.reliability.chaos import ChaosPolicy
@@ -105,10 +111,42 @@ class TestByteIdentity:
 
 
 class TestResolveRenderJobs:
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        monkeypatch.setattr(traces, "available_cpus", lambda: 8)
+
     def test_repro_jobs_takes_precedence(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
         monkeypatch.setenv("REPRO_RENDER_WORKERS", "2")
         assert resolve_render_jobs() == 4
+
+    @pytest.mark.parametrize("cpus, expect", [(1, 1), (2, 2), (3, 3), (16, 4)])
+    def test_clamps_to_available_cpus(self, monkeypatch, cpus, expect):
+        monkeypatch.setattr(traces, "available_cpus", lambda: cpus)
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        assert resolve_render_jobs() == expect
+        monkeypatch.delenv("REPRO_JOBS")
+        monkeypatch.setenv("REPRO_RENDER_WORKERS", "4")
+        assert resolve_render_jobs() == expect
+        assert clamp_render_jobs(4) == expect
+
+    def test_render_cli_jobs_are_clamped(self, monkeypatch, tmp_path, capsys):
+        # One CPU: `--jobs 4` renders serially and says so.
+        monkeypatch.setattr(traces, "available_cpus", lambda: 1)
+        calls = []
+
+        def spy(*args, workers, **kw):
+            calls.append(workers)
+            return render_trace_stream(*args, workers=workers, **kw)
+
+        monkeypatch.setattr(render_tool, "render_trace_stream", spy)
+        out = tmp_path / "out.stream"
+        assert render_tool.main(
+            ["city", str(out), "--width", "32", "--height", "24", "--frames", "2",
+             "--detail", "0.2", "--stream", "--jobs", "4"]
+        ) == 0
+        assert calls == [1]
+        assert "(1 job(s))" in capsys.readouterr().out
 
     def test_legacy_fallback_stays_lenient(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)

@@ -16,6 +16,7 @@ from repro.texture.tiling import (
     TextureLayout,
     coarsen_refs,
     pack_tile_refs,
+    set_index_dtype,
 )
 
 texture_sets = st.lists(
@@ -122,3 +123,37 @@ class TestSetIndexProperties:
         if len(refs) >= 4 * n_sets:
             # A decent index function uses most sets on a dense tile sweep.
             assert len(np.unique(sets)) > n_sets // 2
+
+    @given(
+        texture_sets,
+        st.lists(
+            st.tuples(st.integers(0, (1 << 22) - 1), st.integers(0, (1 << 22) - 1)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_equals_masked_tile_codes(self, dims, coords):
+        """The two-gather fast path is the masked Morton tile code.
+
+        Every (tid, mip) of the space, coordinates across the full 22-bit
+        range, and every power-of-two set count up to 2^17 (past 2^16 the
+        unchanged slow path answers).
+        """
+        space = build_space(dims)
+        keys = [
+            (tid, m)
+            for tid, tex in enumerate(space.textures)
+            for m in range(tex.level_count)
+        ]
+        xy = [*coords, (0, 0), ((1 << 22) - 1, (1 << 22) - 1)]
+        tid, mip, tx, ty = np.array(
+            [(t, m, x, y) for t, m in keys for x, y in xy], dtype=np.int64
+        ).T
+        refs = pack_tile_refs(tid, mip, ty, tx)
+        codes = space.l1_tile_codes(refs)
+        for k in range(18):
+            n_sets = 1 << k
+            sets = space.l1_set_indices(refs, n_sets)
+            assert sets.dtype == set_index_dtype(n_sets)
+            assert np.array_equal(sets, codes & (n_sets - 1))
