@@ -2,8 +2,8 @@
 
 Unlike the table/figure benches (one-shot regenerations), these run multiple
 rounds so pytest-benchmark reports meaningful distributions: reference
-compression, L1 simulation (vectorized vs reference), L2 simulation, address
-translation, and triangle rasterization.
+compression, L1 simulation (vectorized vs the test oracle's loop), L2
+simulation, address translation, and the oracle's per-triangle rasterizer.
 """
 
 import numpy as np
@@ -11,10 +11,11 @@ import pytest
 
 from repro.core.l1_cache import L1CacheConfig, L1CacheSim
 from repro.core.l2_cache import L2CacheConfig, L2TextureCache
-from repro.raster.rasterizer import rasterize_triangle
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs
 from repro.trace.events import collapse_runs
+
+from tests.oracle import ReferenceL1, rasterize_triangle
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ def test_l1_reference_throughput(benchmark, synthetic_stream, space):
     sets = space.l1_set_indices(refs, 128)
 
     def run():
-        sim = L1CacheSim(L1CacheConfig(size_bytes=16 * 1024), use_reference=True)
+        sim = ReferenceL1(L1CacheConfig(size_bytes=16 * 1024))
         return sim.access_frame(refs, weights, sets)
 
     result = benchmark(run)

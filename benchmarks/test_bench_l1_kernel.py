@@ -1,8 +1,8 @@
 """Bench target for the batched L1 kernels.
 
 Runs the bench-scale City trace through two L1 geometries, each twice —
-once with the batched kernel, once with the retained per-access reference
-loop:
+once with the batched kernel, once with the per-access reference loop of
+the test oracle (:class:`tests.oracle.ReferenceL1`):
 
 * a 16 KB 4-way L1 on the recency-level stacked kernel;
 * the paper's 2 KB 2-way L1 on the run kernel.
@@ -38,6 +38,8 @@ from repro.experiments.config import Scale
 from repro.experiments.traces import get_trace
 from repro.texture.sampler import FilterMode
 
+from tests.oracle import ReferenceL1
+
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_l1_kernel.json"
 MIN_SPEEDUP = 3.0
 ROUNDS = 2
@@ -53,8 +55,8 @@ def _frames(trace, config):
     ]
 
 
-def _run(frames, config, use_reference):
-    sim = L1CacheSim(config, use_reference=use_reference)
+def _run(frames, config, reference):
+    sim = ReferenceL1(config) if reference else L1CacheSim(config)
     results, snapshots = [], []
     start = time.perf_counter()
     for refs, weights, sets in frames:
@@ -77,8 +79,8 @@ def _measure(frames, config):
     """Interleaved best-of timings plus the bit-identity contracts."""
     t_fast = t_ref = float("inf")
     for rnd in range(ROUNDS + 1):
-        fast, fast_snaps, dt_fast = _run(frames, config, use_reference=False)
-        ref, ref_snaps, dt_ref = _run(frames, config, use_reference=True)
+        fast, fast_snaps, dt_fast = _run(frames, config, reference=False)
+        ref, ref_snaps, dt_ref = _run(frames, config, reference=True)
         if rnd > 0:
             t_fast = min(t_fast, dt_fast)
             t_ref = min(t_ref, dt_ref)
@@ -95,7 +97,7 @@ def _measure(frames, config):
     # simulator of the same engine.
     cut = len(frames) // 2
     shared = fast_snaps[cut]["engine"] == "general"
-    resumed = L1CacheSim(config, use_reference=shared)
+    resumed = ReferenceL1(config) if shared else L1CacheSim(config)
     resumed.restore_state(fast_snaps[cut])
     for i, (refs, weights, sets) in enumerate(frames[cut + 1 :], cut + 1):
         out = resumed.access_frame(refs, weights, sets)
@@ -151,5 +153,5 @@ def test_stacked_l1_kernel_speedup_and_identity(benchmark):
 
     # Register the stacked City run with pytest-benchmark for trend tracking.
     benchmark.pedantic(
-        lambda: _run(frames, STACKED, use_reference=False), rounds=1, iterations=1
+        lambda: _run(frames, STACKED, reference=False), rounds=1, iterations=1
     )

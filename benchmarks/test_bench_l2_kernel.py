@@ -3,7 +3,8 @@
 Runs the paper's full architecture (2 KB L1, 2 MB-class L2 of 16x16
 tiles, 16-entry round-robin TLB) end to end over the bench-scale City
 and Village traces twice — once with the batched kernels, once with the
-per-access reference loops — and asserts the two contracts of the
+per-access reference loops of the test oracle (:mod:`tests.oracle`) — and
+asserts the two contracts of the
 kernels: bit-identical per-frame results and >= 3x end-to-end
 simulation speedup, on both workloads.
 
@@ -25,12 +26,15 @@ from repro.experiments.simcache import build_config
 from repro.experiments.traces import get_trace
 from repro.texture.sampler import FilterMode
 
+from tests.oracle import reference_hierarchy
+
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_l2_kernel.json"
 MIN_SPEEDUP = 3.0
 
 
-def _run(trace, config, use_reference):
-    sim = MultiLevelTextureCache(config, trace.address_space, use_reference=use_reference)
+def _run(trace, config, reference):
+    make = reference_hierarchy if reference else MultiLevelTextureCache
+    sim = make(config, trace.address_space)
     start = time.perf_counter()
     result = sim.run_trace(trace)
     return result, time.perf_counter() - start
@@ -47,8 +51,8 @@ def test_batched_kernels_speedup_and_identity(benchmark):
 
     timings = {}
     for workload, trace in traces.items():
-        batched, t_batched = _run(trace, config, use_reference=False)
-        reference, t_reference = _run(trace, config, use_reference=True)
+        batched, t_batched = _run(trace, config, reference=False)
+        reference, t_reference = _run(trace, config, reference=True)
         assert batched.frames == reference.frames, (
             f"batched kernels diverged from the reference loops on {workload}"
         )
@@ -81,7 +85,7 @@ def test_batched_kernels_speedup_and_identity(benchmark):
 
     # Register the batched City run with pytest-benchmark for trend tracking.
     benchmark.pedantic(
-        lambda: _run(traces["city"], config, use_reference=False),
+        lambda: _run(traces["city"], config, reference=False),
         rounds=1,
         iterations=1,
     )

@@ -2,7 +2,8 @@
 
 Renders bench-scale City and Village animations twice — once through the
 triangle-batched engine (:mod:`repro.raster.batch`), once through the
-per-triangle reference — and asserts the engine pairing's two contracts:
+per-triangle reference of the test oracle (:mod:`tests.oracle`) — and
+asserts the engine pairing's two contracts:
 identical per-frame traces on both workloads, and >= 3x trace-generation
 speedup on each.
 
@@ -27,6 +28,8 @@ from repro.raster.pipeline import Renderer, RenderOptions
 from repro.scenes import WORKLOAD_BUILDERS
 from repro.texture.sampler import FilterMode
 
+from tests.oracle import ReferenceRenderer
+
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_raster.json"
 MIN_SPEEDUP = 3.0
 ROUNDS = 3
@@ -47,8 +50,7 @@ def _measure(workload, cfg):
     )
     cams = wl.cameras(cfg["frames"])
     engines = {
-        "reference": Renderer(wl.scene.instances, wl.scene.manager, opts,
-                              use_reference=True),
+        "reference": ReferenceRenderer(wl.scene.instances, wl.scene.manager, opts),
         "batched": Renderer(wl.scene.instances, wl.scene.manager, opts),
     }
     best = {name: float("inf") for name in engines}

@@ -24,10 +24,11 @@ exactly when access *i-1* resolved at depth >= k (its tag was not within
 the top k levels), in which case level k inherits level k-1's previous
 content — the demoted entry. Each level is then one grouped forward-fill
 (``np.maximum.accumulate`` over definition points), ``ways`` numpy passes
-per frame instead of a Python loop per access. The explicit per-access
-loop is retained as ``use_reference=True`` ground truth (and for extreme
-associativities past :data:`_MAX_STACKED_WAYS`, where the per-level pass
-count would exceed the loop's cost).
+per frame instead of a Python loop per access. Past
+:data:`MAX_WAYS` the per-level pass count would exceed a per-access
+loop's cost, so wider caches are rejected. The explicit per-access loop
+both kernels are proven against lives in the test-only oracle
+(``tests/oracle/``).
 """
 
 from __future__ import annotations
@@ -36,11 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.texture.tiling import L1_BLOCK_BYTES, set_index_dtype
 
 __all__ = [
-    "L1CacheConfig", "L1FrameResult", "L1CacheSim", "run_lru_misses", "sort_by_set",
+    "L1CacheConfig", "L1FrameResult", "L1CacheSim", "MAX_WAYS",
+    "run_lru_misses", "sort_by_set",
 ]
+
+#: Widest associativity the recency-level kernel handles; each way is one
+#: grouped forward-fill pass per frame.
+MAX_WAYS = 64
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,8 @@ class L1CacheConfig:
     Attributes:
         size_bytes: total cache capacity (e.g. 2048 or 16384; Fig 9 sweeps
             2 KB - 32 KB).
-        ways: associativity (the paper fixes 2; 1 gives direct-mapped).
+        ways: associativity (the paper fixes 2; 1 gives direct-mapped;
+            at most :data:`MAX_WAYS`).
         line_bytes: cache line size; the paper fixes line == tile == 64 B.
     """
 
@@ -61,6 +69,10 @@ class L1CacheConfig:
     def __post_init__(self) -> None:
         if self.ways < 1:
             raise ValueError(f"ways must be >= 1, got {self.ways}")
+        if self.ways > MAX_WAYS:
+            raise ConfigError(
+                "ways", str(self.ways), f"the L1 supports at most {MAX_WAYS} ways"
+            )
         if self.size_bytes % (self.ways * self.line_bytes):
             raise ValueError(
                 f"cache size {self.size_bytes} is not divisible by "
@@ -110,11 +122,6 @@ class L1FrameResult:
     def miss_bytes(self) -> int:
         """Bytes downloaded into L1 this frame (one line per miss)."""
         return self.misses * L1_BLOCK_BYTES
-
-
-#: Widest associativity the recency-level kernel handles; each way is one
-#: grouped forward-fill pass, so past this the reference loop wins anyway.
-_MAX_STACKED_WAYS = 64
 
 
 def run_lru_misses(
@@ -170,44 +177,32 @@ def sort_by_set(sets: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class L1CacheSim:
-    """Stateful L1 cache simulator; state persists across frames."""
+    """Stateful L1 cache simulator; state persists across frames.
+
+    1- and 2-way caches run :func:`run_lru_misses` over carried MRU/LRU
+    tags; wider caches run the recency-level kernel over a carried stack.
+    """
 
     _EMPTY = np.int64(-1)
 
-    def __init__(self, config: L1CacheConfig, use_reference: bool = False):
-        """Args:
-            config: cache geometry.
-            use_reference: force the explicit per-access loop regardless of
-                associativity. The batched and reference paths are
-                behaviourally identical; the flag exists so tests can check
-                that equivalence on arbitrary streams.
-        """
+    def __init__(self, config: L1CacheConfig):
         self.config = config
         n_sets = config.n_sets
-        self._sets_general: list[list[int]] | None = None
         self._stack: np.ndarray | None = None
-        if use_reference or config.ways > _MAX_STACKED_WAYS:
-            self.engine = "reference"
-            self._sets_general = [[] for _ in range(n_sets)]
-        elif config.ways <= 2:
-            self.engine = "vectorized"
+        if config.ways <= 2:
             self._mru = np.full(n_sets, self._EMPTY, dtype=np.int64)
             self._lru = np.full(n_sets, self._EMPTY, dtype=np.int64)
         else:
             # MRU-first recency stack per set, EMPTY-padded on the right.
-            self.engine = "stacked"
             self._stack = np.full((n_sets, config.ways), self._EMPTY, dtype=np.int64)
 
     def reset(self) -> None:
         """Invalidate the whole cache."""
-        if self.engine == "vectorized":
+        if self._stack is None:
             self._mru[:] = self._EMPTY
             self._lru[:] = self._EMPTY
-        elif self.engine == "stacked":
-            self._stack[:] = self._EMPTY
         else:
-            for s in self._sets_general:
-                s.clear()
+            self._stack[:] = self._EMPTY
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -216,60 +211,48 @@ class L1CacheSim:
         The returned tree contains only numpy arrays and JSON-able scalars
         /lists, so :mod:`repro.reliability.checkpoint` can persist it.
         """
-        if self.engine == "vectorized":
+        if self._stack is None:
             return {
                 "engine": "vectorized",
                 "mru": self._mru.copy(),
                 "lru": self._lru.copy(),
             }
-        if self.engine == "stacked":
-            # Same oldest-first-list format as the reference loop, so a
-            # checkpoint taken on either general-associativity engine
-            # restores onto the other bit-identically.
-            return {
-                "engine": "general",
-                "sets": [
-                    [int(t) for t in reversed(row) if t != self._EMPTY]
-                    for row in self._stack
-                ],
-            }
+        # Oldest-first per-set lists: the layout of a plain per-access
+        # LRU loop, so the stack is checkpointed independently of the
+        # kernel that maintains it.
         return {
             "engine": "general",
-            "sets": [list(s) for s in self._sets_general],
+            "sets": [
+                [int(t) for t in reversed(row) if t != self._EMPTY]
+                for row in self._stack
+            ],
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` tree; inverse of the snapshot."""
-        engine = "vectorized" if self.engine == "vectorized" else "general"
-        if state.get("engine") != engine:
+        layout = "vectorized" if self._stack is None else "general"
+        if state.get("engine") != layout:
             raise ValueError(
                 f"L1 checkpoint was taken on the {state.get('engine')!r} "
-                f"engine but this simulator runs {engine!r}"
+                f"engine but this simulator runs {layout!r}"
             )
-        if self.engine == "vectorized":
+        if self._stack is None:
             mru = np.asarray(state["mru"], dtype=np.int64)
             lru = np.asarray(state["lru"], dtype=np.int64)
             if mru.shape != self._mru.shape or lru.shape != self._lru.shape:
                 raise ValueError("L1 checkpoint does not match the cache geometry")
             self._mru[:] = mru
             self._lru[:] = lru
-        elif self.engine == "stacked":
-            sets = state["sets"]
-            if len(sets) != len(self._stack):
+            return
+        sets = state["sets"]
+        if len(sets) != len(self._stack):
+            raise ValueError("L1 checkpoint does not match the cache geometry")
+        self._stack[:] = self._EMPTY
+        for row, content in zip(self._stack, sets):
+            if len(content) > self.config.ways:
                 raise ValueError("L1 checkpoint does not match the cache geometry")
-            self._stack[:] = self._EMPTY
-            for row, content in zip(self._stack, sets):
-                if len(content) > self.config.ways:
-                    raise ValueError(
-                        "L1 checkpoint does not match the cache geometry"
-                    )
-                for level, tag in enumerate(reversed(content)):
-                    row[level] = int(tag)
-        else:
-            sets = state["sets"]
-            if len(sets) != len(self._sets_general):
-                raise ValueError("L1 checkpoint does not match the cache geometry")
-            self._sets_general = [[int(t) for t in s] for s in sets]
+            for level, tag in enumerate(reversed(content)):
+                row[level] = int(tag)
 
     # ------------------------------------------------------------------
     def access_frame(
@@ -291,16 +274,14 @@ class L1CacheSim:
         if len(refs) == 0:
             return L1FrameResult(0, 0, 0, np.empty(0, dtype=np.int64))
 
-        if self.engine == "vectorized":
+        if self._stack is None:
             order, s = sort_by_set(sets, self.config.n_sets)
             miss = np.empty(len(refs), dtype=bool)
             miss[order] = run_lru_misses(
                 refs[order], s, self.config.ways, self._mru, self._lru
             )
-        elif self.engine == "stacked":
-            miss = self._access_stacked(refs, sets)
         else:
-            miss = self._access_general(refs, sets)
+            miss = self._access_stacked(refs, sets)
 
         miss_positions = np.flatnonzero(miss)
         return L1FrameResult(
@@ -380,22 +361,4 @@ class L1CacheSim:
 
         miss = np.empty(n, dtype=bool)
         miss[order] = ~in_top
-        return miss
-
-    def _access_general(self, refs: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """Reference N-way LRU implementation (explicit per-access loop)."""
-        ways = self.config.ways
-        lines = self._sets_general
-        miss = np.empty(len(refs), dtype=bool)
-        for i, (tag, set_idx) in enumerate(zip(refs.tolist(), sets.tolist())):
-            content = lines[set_idx]
-            if tag in content:
-                content.remove(tag)
-                content.append(tag)  # most recent at the back
-                miss[i] = False
-            else:
-                if len(content) >= ways:
-                    content.pop(0)
-                content.append(tag)
-                miss[i] = True
         return miss

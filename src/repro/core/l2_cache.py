@@ -17,13 +17,13 @@ Accounting distinguishes (per §5.4.2's conditional hit rates):
   from host memory (into L2 and, in parallel, L1);
 * **full miss** — no physical block: find a victim, re-map, then download.
 
-Like :class:`~repro.core.l1_cache.L1CacheSim`, the simulator has two
-interchangeable engines: a per-access reference loop (``use_reference=True``)
-and a batched kernel that classifies whole chunks of the miss stream with
-numpy passes, dropping into a tight allocation loop only at first-touch full
-misses. The two are bit-identical — per-frame transaction counts, eviction
-counts, final residency state, and replacement-policy state all match — and
-the differential test suite asserts it.
+The simulator is a batched kernel that classifies whole chunks of the miss
+stream with numpy passes, dropping into a tight allocation loop only at
+first-touch full misses. It is bit-identical to a per-access loop —
+per-frame transaction counts, eviction counts, final residency state, and
+replacement-policy state all match — and the differential test suite
+asserts it against that loop, kept in the test-only oracle
+(``tests/oracle/``).
 
 :class:`SetAssociativeL2Cache` implements the organization §5.1 argues
 *against* (restricted placement causes inter-texture collisions); it exists
@@ -147,8 +147,6 @@ class L2TextureCache:
         space: address space of the workload's textures; sizes the page
             table (one entry per L2 block of every texture, the host
             driver's ``tstart``/``tlen`` allocation).
-        use_reference: run the per-access reference loop instead of the
-            batched kernel (differential testing).
         chunk_size: accesses per batched pass; state is re-snapshotted at
             chunk boundaries, so smaller chunks trade throughput for
             temporary-array footprint without changing results.
@@ -158,14 +156,12 @@ class L2TextureCache:
         self,
         config: L2CacheConfig,
         space: AddressSpace,
-        use_reference: bool = False,
         chunk_size: int = 1 << 15,
     ):
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.config = config
         self.space = space
-        self._use_reference = use_reference
         self._chunk_size = chunk_size
         n_entries = space.total_l2_blocks(config.l2_tile_texels)
         # t_table[]: physical block per virtual block (-1 = unallocated) and
@@ -240,8 +236,6 @@ class L2TextureCache:
         """Lower-level entry point taking pre-translated addresses."""
         gids = np.asarray(gids, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
-        if self._use_reference:
-            return self._access_blocks_reference(gids, subs)
         n = len(gids)
         full_hits = partial = full_miss = evictions = 0
         start = 0
@@ -257,60 +251,6 @@ class L2TextureCache:
             start += done
         return L2FrameResult(
             accesses=n,
-            full_hits=full_hits,
-            partial_hits=partial,
-            full_misses=full_miss,
-            evictions=evictions,
-        )
-
-    def _access_blocks_reference(
-        self, gids: np.ndarray, subs: np.ndarray
-    ) -> L2FrameResult:
-        """Per-access loop; the ground truth the batched kernel must match."""
-        full_hits = 0
-        partial = 0
-        full_miss = 0
-        evictions = 0
-
-        t_block = self._t_block
-        t_sectors = self._t_sectors
-        brl = self._brl_t_index
-        policy = self.policy
-        n_blocks = self.config.n_blocks
-        free = self._free
-
-        for gid, sub in zip(gids.tolist(), subs.tolist()):
-            blk = t_block[gid]
-            bit = np.uint64(1 << sub)
-            if blk >= 0:
-                if t_sectors[gid] & bit:
-                    full_hits += 1  # step D yes: load from L2 memory
-                else:
-                    partial += 1  # step F: download sub-block from host
-                    t_sectors[gid] |= bit
-                policy.touch(blk)
-                continue
-            # Step E: full miss — allocate a physical block.
-            full_miss += 1
-            if free:
-                blk = free.pop()
-            elif self._next_unused < n_blocks:
-                blk = self._next_unused
-                self._next_unused += 1
-            else:
-                blk = policy.victim()
-                old = brl[blk]
-                if old >= 0:
-                    t_block[old] = -1
-                    t_sectors[old] = 0
-                    evictions += 1
-            brl[blk] = gid
-            t_block[gid] = blk
-            t_sectors[gid] = bit
-            policy.touch(blk)
-
-        return L2FrameResult(
-            accesses=len(gids),
             full_hits=full_hits,
             partial_hits=partial,
             full_misses=full_miss,
@@ -470,8 +410,7 @@ class SetAssociativeL2Cache:
     carried per-set state plus the frame's accesses stably by set index
     yields per-set substreams on which an access hits iff its LRU stack
     distance is below ``ways``; residency episodes (spans between refills)
-    then separate full from partial hits. ``use_reference=True`` runs the
-    per-access loop instead.
+    then separate full from partial hits.
     """
 
     def __init__(
@@ -479,7 +418,6 @@ class SetAssociativeL2Cache:
         config: L2CacheConfig,
         space: AddressSpace,
         ways: int = 4,
-        use_reference: bool = False,
     ):
         if ways < 1 or config.n_blocks % ways:
             raise ValueError(
@@ -489,7 +427,6 @@ class SetAssociativeL2Cache:
         self.space = space
         self.ways = ways
         self.n_sets = config.n_blocks // ways
-        self._use_reference = use_reference
         # Per-set list of resident gids, LRU order (front = oldest).
         self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
         self._sectors: dict[int, int] = {}
@@ -519,59 +456,14 @@ class SetAssociativeL2Cache:
         return self.access_blocks(gids, subs)
 
     def access_blocks(self, gids: np.ndarray, subs: np.ndarray) -> L2FrameResult:
-        """Lower-level entry point taking pre-translated addresses."""
-        gids = np.asarray(gids, dtype=np.int64)
-        subs = np.asarray(subs, dtype=np.int64)
-        if self._use_reference:
-            return self._access_blocks_reference(gids, subs)
-        return self._access_blocks_batched(gids, subs)
+        """Stack-distance classification of a whole frame at once.
 
-    def _access_blocks_reference(
-        self, gids: np.ndarray, subs: np.ndarray
-    ) -> L2FrameResult:
-        """Per-access loop; the ground truth the batched kernel must match."""
-        full_hits = 0
-        partial = 0
-        full_miss = 0
-        evictions = 0
-        n_sets = self.n_sets
-        sets = self._sets
-        sectors = self._sectors
-
-        for gid, sub in zip(gids.tolist(), subs.tolist()):
-            content = sets[gid % n_sets]
-            bit = 1 << sub
-            if gid in content:
-                content.remove(gid)
-                content.append(gid)
-                if sectors[gid] & bit:
-                    full_hits += 1
-                else:
-                    partial += 1
-                    sectors[gid] |= bit
-            else:
-                full_miss += 1
-                if len(content) >= self.ways:
-                    old = content.pop(0)
-                    del sectors[old]
-                    evictions += 1
-                content.append(gid)
-                sectors[gid] = bit
-
-        return L2FrameResult(
-            accesses=len(gids),
-            full_hits=full_hits,
-            partial_hits=partial,
-            full_misses=full_miss,
-            evictions=evictions,
-        )
-
-    def _access_blocks_batched(
-        self, gids: np.ndarray, subs: np.ndarray
-    ) -> L2FrameResult:
-        """Stack-distance classification of a whole frame at once."""
+        Lower-level entry point taking pre-translated addresses.
+        """
         from repro.analytic.stack_distance import stack_distances
 
+        gids = np.asarray(gids, dtype=np.int64)
+        subs = np.asarray(subs, dtype=np.int64)
         n = len(gids)
         if n == 0:
             return L2FrameResult(0, 0, 0, 0, 0)

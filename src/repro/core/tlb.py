@@ -6,15 +6,14 @@ would pay a DRAM access for translation. A small on-chip TLB over
 ``<tid, L2>`` entries hides that latency. "Replacement for multi-entry
 TLB's was round robin" — LRU is also provided for comparison.
 
-Like the cache simulators, the TLB has a per-access reference loop
-(``use_reference=True``) and a batched engine that resolves a whole frame
-in numpy passes: LRU by materializing each recency-stack level with a
-grouped forward-fill (generalizing the L1 simulator's 2-way trick to
-``n_entries`` ways; very large TLBs fall back to the Mattson
-stack-distance engine), round robin by scanning blocks of accesses
-against the entry table and dropping to the scalar loop only inside
-miss-bearing blocks. Both are bit-identical to the loops, including the
-carried entry list and hand position.
+Like the cache simulators, the TLB resolves a whole frame in numpy
+passes: LRU by materializing each recency-stack level with a grouped
+forward-fill (the construction the L1's stacked kernel generalizes per
+set; very large TLBs fall back to the Mattson stack-distance engine),
+round robin by scanning blocks of accesses against the entry table and
+dropping to a scalar loop only inside miss-bearing blocks. Both are
+bit-identical to a per-access loop, including the carried entry list and
+hand position; that loop lives in the test-only oracle (``tests/oracle/``).
 """
 
 from __future__ import annotations
@@ -50,15 +49,11 @@ class TextureTableTLB:
     Args:
         n_entries: TLB capacity (the paper sweeps 1-16).
         policy: "round_robin" (the paper) or "lru".
-        use_reference: run the per-access loop instead of the batched
-            engine (differential testing).
     """
 
     _POLICIES = ("round_robin", "lru")
 
-    def __init__(
-        self, n_entries: int, policy: str = "round_robin", use_reference: bool = False
-    ):
+    def __init__(self, n_entries: int, policy: str = "round_robin"):
         if n_entries < 1:
             raise ValueError(f"TLB needs at least one entry, got {n_entries}")
         if policy not in self._POLICIES:
@@ -67,7 +62,6 @@ class TextureTableTLB:
             )
         self.n_entries = n_entries
         self.policy = policy
-        self._use_reference = use_reference
         self._entries: list[int] = []
         self._hand = 0
 
@@ -96,42 +90,11 @@ class TextureTableTLB:
                 L1 misses, in access order.
         """
         gids = np.asarray(gids, dtype=np.int64)
-        if self._use_reference:
-            return self._access_frame_reference(gids)
         if len(gids) == 0:
             return TLBFrameResult(accesses=0, hits=0)
         if self.policy == "lru":
             return self._access_lru_batched(gids)
         return self._access_round_robin_batched(gids)
-
-    def _access_frame_reference(self, gids: np.ndarray) -> TLBFrameResult:
-        """Per-access loop; the ground truth the batched engine must match."""
-        hits = 0
-        entries = self._entries
-        cap = self.n_entries
-        if self.policy == "lru":
-            for gid in gids.tolist():
-                if gid in entries:
-                    hits += 1
-                    entries.remove(gid)
-                    entries.append(gid)
-                else:
-                    if len(entries) >= cap:
-                        entries.pop(0)
-                    entries.append(gid)
-        else:  # round robin
-            hand = self._hand
-            for gid in gids.tolist():
-                if gid in entries:
-                    hits += 1
-                else:
-                    if len(entries) >= cap:
-                        entries[hand] = gid
-                        hand = (hand + 1) % cap
-                    else:
-                        entries.append(gid)
-            self._hand = hand
-        return TLBFrameResult(accesses=len(gids), hits=hits)
 
     def _access_lru_batched(self, gids: np.ndarray) -> TLBFrameResult:
         """Whole-frame LRU by materializing the recency stack level by level.
@@ -217,10 +180,10 @@ class TextureTableTLB:
         an all-hit block costs a single vector op. A block containing a
         miss is finished with the scalar loop from the first miss onward —
         membership in a handful of entries is a cheap list probe, so the
-        scalar tail never costs more than the reference loop. Block size
+        scalar tail never costs more than a per-access loop. Block size
         doubles through hit runs and halves after miss-bearing blocks, so
         hit-heavy streams are resolved almost entirely vectorized while
-        miss-heavy streams degrade gracefully to reference speed.
+        miss-heavy streams degrade gracefully to per-access loop speed.
         """
         cap = self.n_entries
         entries = self._entries

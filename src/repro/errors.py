@@ -179,14 +179,16 @@ class CheckpointCorruptError(ReproError):
 class ConfigError(ReproError, ValueError):
     """A configuration knob holds an invalid (or contradictory) value.
 
-    Covers environment variables (``$REPRO_JOBS``) and CLI flags
-    (``--tenant-policy``); the rendered message prefixes ``$`` only for
-    the former. Subclasses ValueError for compatibility with callers that
+    Covers environment variables (``$REPRO_JOBS``), CLI flags
+    (``--tenant-policy``) and config fields (``ways``); the rendered
+    message prefixes ``$`` only for the (upper-case) environment
+    variables. Subclasses ValueError for compatibility with callers that
     predate the taxonomy.
 
     Attributes:
         variable: the knob's name — an environment variable
-            (e.g. ``REPRO_JOBS``) or a CLI flag (e.g. ``--tenants``).
+            (e.g. ``REPRO_JOBS``), a CLI flag (e.g. ``--tenants``) or a
+            config field (e.g. ``ways``).
         value: the offending raw value.
         detail: human-readable description of what is wrong with it.
     """
@@ -195,7 +197,7 @@ class ConfigError(ReproError, ValueError):
         self.variable = variable
         self.value = value
         self.detail = detail
-        prefix = "" if variable.startswith("-") else "$"
+        prefix = "$" if variable.isupper() else ""
         super().__init__(f"{prefix}{variable}={value!r}: {detail}")
 
 

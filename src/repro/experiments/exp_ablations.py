@@ -499,8 +499,9 @@ def run_l1_associativity(scale: Scale | None = None) -> ExperimentResult:
     avoid conflict misses with trilinear interpolation. We follow Hakura's
     lead" (§2.3). This ablation verifies that on our traces: direct-mapped
     suffers conflicts, 2-way recovers nearly all of them, and 4/8-way add
-    little. Higher ways use the reference per-access loop, so a bounded
-    prefix of the animation is replayed.
+    little. 1- and 2-way run the L1's run kernel, 4- and 8-way its stacked
+    recency-level kernel; the sweep replays at most the first 8 frames of
+    the animation.
     """
     scale = scale or Scale.from_env()
     max_frames = min(scale.frames, 8)

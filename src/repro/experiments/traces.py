@@ -107,19 +107,6 @@ def _renderer_factory(workload, scale, mode, z_first, tiled):
     return renderer, wl.cameras(scale.frames)
 
 
-def render_workers() -> int:
-    """Worker processes for trace rendering (``$REPRO_RENDER_WORKERS``).
-
-    Defaults to 1 (serial). Frames are rendered independently per worker;
-    note that per-frame traces are identical to a serial render — only the
-    wall-clock changes — because scenes and camera paths are deterministic.
-    """
-    try:
-        return max(int(os.environ.get("REPRO_RENDER_WORKERS", "1")), 1)
-    except ValueError:
-        return 1
-
-
 def available_cpus() -> int:
     """CPUs this process may run on (its affinity mask where supported)."""
     try:
@@ -138,14 +125,10 @@ def clamp_render_jobs(jobs: int) -> int:
 
 
 def resolve_render_jobs() -> int:
-    """Render worker count: ``$REPRO_JOBS`` first, legacy variable second.
+    """Render worker count: ``$REPRO_JOBS``, else 1.
 
-    ``$REPRO_JOBS`` drives the sweep supervisor; rendering used to ignore
-    it silently (only the legacy ``$REPRO_RENDER_WORKERS`` applied), so a
-    sweep configured for 4 jobs still rendered its traces on one core.
-    Now ``$REPRO_JOBS`` governs both, with the same strict typed
-    validation (:class:`~repro.errors.ConfigError` on junk); the legacy
-    variable keeps its lenient semantics as the fallback. Either is
+    ``$REPRO_JOBS`` drives both the sweep supervisor and rendering, with
+    strict typed validation (:class:`~repro.errors.ConfigError` on junk),
     clamped by :func:`clamp_render_jobs`. Inside a daemon worker process
     (a sweep worker rendering a missing trace) this always returns 1 —
     daemons cannot spawn children.
@@ -154,7 +137,7 @@ def resolve_render_jobs() -> int:
         return 1
     if os.environ.get("REPRO_JOBS", "").strip():
         return clamp_render_jobs(default_jobs())
-    return clamp_render_jobs(render_workers())
+    return 1
 
 
 def render_trace(
@@ -173,10 +156,9 @@ def render_trace(
     caches never confuse them with baseline traces.
 
     ``workers`` > 1 renders frame shards in supervised parallel processes
-    (:mod:`repro.raster.parallel`; default from ``$REPRO_JOBS``, falling
-    back to the legacy ``$REPRO_RENDER_WORKERS``) — frames are
-    independent, so results are bit-identical to a serial render. Use it
-    to make ``Scale.paper()`` renders practical.
+    (:mod:`repro.raster.parallel`; default from ``$REPRO_JOBS``) —
+    frames are independent, so results are bit-identical to a serial
+    render. Use it to make ``Scale.paper()`` renders practical.
     """
     workers = resolve_render_jobs() if workers is None else max(workers, 1)
     meta = TraceMeta(

@@ -12,18 +12,18 @@ Modules:
   snapshots).
 * :mod:`repro.raster.zbuffer` — depth buffer.
 * :mod:`repro.raster.clipping` — near-plane polygon clipping in clip space.
-* :mod:`repro.raster.rasterizer` — triangle setup, edge-function coverage,
-  perspective-correct attributes, analytic LOD gradients, scanline or tiled
-  fragment ordering (the per-triangle reference engine).
-* :mod:`repro.raster.batch` — triangle-batched vectorized rasterization,
-  bit-identical to the reference (the default engine).
+* :mod:`repro.raster.rasterizer` — the fragment record and the scanline /
+  tiled fragment orders.
+* :mod:`repro.raster.batch` — triangle setup, edge-function coverage,
+  perspective-correct attributes and analytic LOD gradients, vectorized
+  over whole batches of triangles.
 * :mod:`repro.raster.pipeline` — the per-frame renderer/tracer.
 """
 
 from repro.raster.framebuffer import Framebuffer
 from repro.raster.zbuffer import DepthBuffer
 from repro.raster.clipping import clip_triangle_near
-from repro.raster.rasterizer import Fragments, rasterize_triangle, RasterOrder
+from repro.raster.rasterizer import Fragments, RasterOrder
 from repro.raster.batch import FragmentBatch, rasterize_triangles
 from repro.raster.pipeline import RenderOptions, Renderer, FrameOutput
 
@@ -32,7 +32,6 @@ __all__ = [
     "DepthBuffer",
     "clip_triangle_near",
     "Fragments",
-    "rasterize_triangle",
     "FragmentBatch",
     "rasterize_triangles",
     "RasterOrder",

@@ -4,10 +4,10 @@
 triangles in one vectorized pass — signed areas, backface culling, clamped
 bounding boxes, barycentric gradients, and the perspective terms — and then
 edge-tests entire bounding-box scanline spans at once, emitting fragments
-grouped per triangle in exactly the emission order of the per-triangle
-reference rasterizer (:func:`repro.raster.rasterizer.rasterize_triangle`):
-triangles in input order, fragments in scanline (or tiled) order within
-each triangle.
+grouped per triangle in exactly the emission order of a per-triangle
+reference rasterizer (``rasterize_triangle`` in the test-only oracle,
+``tests/oracle/``): triangles in input order, fragments in scanline (or
+tiled) order within each triangle.
 
 Every row of one triangle's bounding box has the same width, so triangles
 are grouped by (padded) box width and each group is evaluated as a dense
@@ -17,12 +17,10 @@ per triangle, but shared across arbitrarily many triangles per call, with
 no per-candidate gather traffic. Group results are scattered into final
 emission order with computed destinations (no sort).
 
-Engine pairing (the PR 3 pattern, applied upstream of the caches): every
-arithmetic expression mirrors the reference implementation operation for
-operation and in the same operand order, so the emitted fragments are
+Every arithmetic expression mirrors the reference rasterizer operation
+for operation and in the same operand order, so the emitted fragments are
 **bit-identical** — not merely close — to the per-triangle loop. The
-reference stays selectable (``Renderer(..., use_reference=True)``) as the
-ground truth the differential suite proves this module against.
+differential suite proves this module against that oracle.
 
 Candidate pixels are expanded at most ``block_candidates`` at a time (a
 group's grid is walked in row chunks), so peak memory stays bounded no
@@ -105,8 +103,8 @@ def rasterize_triangles(
         inv_w: ``(T, 3)`` per-vertex 1/w_clip.
         uv: ``(T, 3, 2)`` per-vertex texture coordinates.
         z_ndc: ``(T, 3)`` per-vertex NDC depth.
-        width / height / order: as in
-            :func:`~repro.raster.rasterizer.rasterize_triangle`.
+        width / height: viewport dimensions.
+        order: scanline (default, the paper) or tiled fragment order.
         tex_width / tex_height: bound texture dimensions — a scalar shared
             by the batch, or ``(T,)`` arrays so triangles with different
             texture bindings can share one call.

@@ -8,25 +8,20 @@ statistics and the §5 cache simulator consume. Optionally it also shades
 pixels into a framebuffer (Fig 12 snapshots) and/or applies the §6
 z-before-texture optimization.
 
-Two rasterization engines are paired (the PR 3 pattern, applied upstream
-of the caches): the default batched engine vectorizes triangle setup and
-edge testing across whole runs of triangles (:mod:`repro.raster.batch`)
-and issues one footprint call per distinct texture binding per frame,
-while the per-triangle
-reference engine (``Renderer(..., use_reference=True)``) is kept as the
-bit-identical ground truth the differential suite proves the batched
-engine against. Both emit exactly the same fragment and reference streams.
+Rasterization is batched: triangle setup and edge testing are vectorized
+across all of a frame's triangles (:mod:`repro.raster.batch`), and
+footprints are sampled with one call per distinct texture binding per
+frame. The differential suite proves the emitted fragment and reference
+streams bit-identical to a per-triangle renderer kept in the test-only
+oracle (``tests/oracle/``).
 
-For long animations prefer :meth:`Renderer.iter_frames`, which yields one
-:class:`FrameOutput` at a time — together with the streaming trace writer
-(:mod:`repro.trace.stream`) a full-scale animation renders in bounded
-memory. ``render_animation`` (which materializes every frame, images
-included) is deprecated.
+:meth:`Renderer.iter_frames` yields one :class:`FrameOutput` at a time —
+together with the streaming trace writer (:mod:`repro.trace.stream`) a
+full-scale animation renders in bounded memory.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,7 +33,7 @@ from repro.geometry.mesh import Mesh, MeshInstance
 from repro.raster.batch import rasterize_triangles
 from repro.raster.clipping import clip_triangle_near
 from repro.raster.framebuffer import Framebuffer
-from repro.raster.rasterizer import Fragments, RasterOrder, rasterize_triangle
+from repro.raster.rasterizer import Fragments, RasterOrder
 from repro.raster.zbuffer import DepthBuffer
 from repro.texture.manager import TextureManager
 from repro.texture.sampler import (
@@ -91,7 +86,8 @@ class FrameOutput:
 def _project_vertices(mesh: Mesh, mvp: np.ndarray, width: int, height: int):
     """Clip-space, NDC, screen, and 1/w for every vertex of a mesh.
 
-    Shared by both engines so their per-vertex inputs are the same bits.
+    Shared with the test oracle's per-triangle renderer so both see the
+    same per-vertex bits.
     Returns ``(clip, ndc, screen, inv_w, fully_in)`` where ``fully_in`` is
     the per-triangle-per-vertex near-plane inclusion mask.
     """
@@ -123,10 +119,6 @@ class Renderer:
             access stream the caches see).
         manager: texture manager holding every texture the instances bind.
         options: pipeline configuration.
-        use_reference: rasterize with the per-triangle reference loop
-            instead of the batched engine. Both produce bit-identical
-            traces and images; the reference is the differential ground
-            truth and the batched engine is several times faster.
     """
 
     def __init__(
@@ -134,30 +126,17 @@ class Renderer:
         instances: Sequence[MeshInstance],
         manager: TextureManager,
         options: RenderOptions | None = None,
-        use_reference: bool = False,
     ):
         self.instances = list(instances)
         self.manager = manager
         self.options = options or RenderOptions()
-        self.use_reference = use_reference
         for inst in self.instances:
             # Fail fast on dangling texture bindings.
             self.manager.texture(inst.texture_id)
             if inst.secondary_texture_id is not None:
                 self.manager.texture(inst.secondary_texture_id)
 
-    @property
-    def engine(self) -> str:
-        """``"reference"`` or ``"batched"`` (mirrors the simulator kernels)."""
-        return "reference" if self.use_reference else "batched"
-
     # ------------------------------------------------------------------
-    def render_frame(self, camera: Camera) -> FrameOutput:
-        """Render one frame; returns its trace (and image when shading)."""
-        if self.use_reference:
-            return self._render_frame_reference(camera)
-        return self._render_frame_batched(camera)
-
     def iter_frames(self, cameras: Sequence[Camera]) -> Iterator[FrameOutput]:
         """Render camera poses one frame at a time (generator).
 
@@ -168,28 +147,8 @@ class Renderer:
         for cam in cameras:
             yield self.render_frame(cam)
 
-    def render_animation(self, cameras: Sequence[Camera]) -> "_AnimationFrames":
-        """Render a list of camera poses (one per frame).
-
-        .. deprecated::
-            Use :meth:`iter_frames`. This shim now forwards through it
-            lazily: iterating the returned sequence renders one frame at a
-            time (nothing is retained), so legacy ``for out in
-            renderer.render_animation(...)`` loops run in bounded memory.
-            Only indexing forces a render, and only of that frame.
-        """
-        warnings.warn(
-            "Renderer.render_animation is deprecated; use "
-            "Renderer.iter_frames and consume frames as they stream",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _AnimationFrames(self, list(cameras))
-
-    # ------------------------------------------------------------------
-    # Batched engine
-    # ------------------------------------------------------------------
-    def _render_frame_batched(self, camera: Camera) -> FrameOutput:
+    def render_frame(self, camera: Camera) -> FrameOutput:
+        """Render one frame; returns its trace (and image when shading)."""
         opt = self.options
         w, h = opt.width, opt.height
         vp = camera.view_projection(w, h)
@@ -203,7 +162,8 @@ class Renderer:
         # into fully-inside runs and near-clip pieces. Both are only
         # *registered* here (their vertex data appended to frame-wide
         # arrays); clip pieces become one-triangle entries after the same
-        # clip-space-to-screen transform the reference applies. ``items``
+        # clip-space-to-screen transform the test oracle's per-triangle
+        # renderer applies. ``items``
         # remembers per-instance emission order. Texture dims and
         # sidedness are constant per run, so they are kept as
         # (value, count) pairs and expanded once in phase 2.
@@ -260,9 +220,10 @@ class Renderer:
                         for cpos, cuv in clip_triangle_near(
                             clip[tri], inst.mesh.uvs[tri]
                         ):
-                            # The reference's clip-space-to-screen math
-                            # (see _raster_one), registered as a
-                            # one-triangle batch entry.
+                            # Clip space to screen, operation for
+                            # operation as the per-triangle oracle does
+                            # it, registered as a one-triangle batch
+                            # entry.
                             w_clip = cpos[:, 3]
                             ndc_p = cpos[:, :3] / w_clip[:, None]
                             screen_p = np.empty((1, 3, 2), dtype=np.float64)
@@ -437,113 +398,6 @@ class Renderer:
         )
 
     # ------------------------------------------------------------------
-    # Reference engine (per-triangle ground truth)
-    # ------------------------------------------------------------------
-    def _render_frame_reference(self, camera: Camera) -> FrameOutput:
-        opt = self.options
-        w, h = opt.width, opt.height
-        vp = camera.view_projection(w, h)
-        frustum = Frustum(vp) if opt.cull else None
-
-        need_depth = opt.z_before_texture or opt.shade
-        depth = DepthBuffer(w, h) if need_depth else None
-        fb = Framebuffer(w, h) if opt.shade else None
-
-        # Per-object collapsed chunks: collapsing within (not across) object
-        # sub-streams keeps object boundaries exact for the §4 locality
-        # decomposition; the only cost is that a duplicate straddling a
-        # boundary survives as two entries (still a guaranteed L1 hit).
-        obj_refs: list[np.ndarray] = []
-        obj_weights: list[np.ndarray] = []
-        n_fragments = 0
-        culled = 0
-        rasterized = 0
-
-        for inst in self.instances:
-            ref_chunks: list[np.ndarray] = []
-            if frustum is not None:
-                center, radius = inst.bounding_sphere()
-                if not frustum.contains_sphere(center, radius):
-                    culled += 1
-                    continue
-            self.manager.bind(inst.texture_id)
-            tex = self.manager.texture(inst.texture_id)
-            mvp = vp @ inst.model
-            clip, ndc_all, screen_all, inv_w_all, fully_in = _project_vertices(
-                inst.mesh, mvp, w, h
-            )
-
-            for t_idx, tri in enumerate(inst.mesh.triangles):
-                inside = fully_in[t_idx]
-                if inside.all():
-                    pieces = [None]  # sentinel: fast path, no clipping
-                elif not inside.any():
-                    continue
-                else:
-                    pieces = clip_triangle_near(clip[tri], inst.mesh.uvs[tri])
-                for piece in pieces:
-                    if piece is None:
-                        frags = rasterize_triangle(
-                            screen_xy=screen_all[tri],
-                            inv_w=inv_w_all[tri],
-                            uv=inst.mesh.uvs[tri],
-                            z_ndc=ndc_all[tri, 2],
-                            width=opt.width,
-                            height=opt.height,
-                            tex_width=tex.width,
-                            tex_height=tex.height,
-                            double_sided=inst.mesh.double_sided,
-                            order=opt.order,
-                        )
-                    else:
-                        cpos, cuv = piece
-                        frags = self._raster_one(
-                            cpos, cuv, tex, inst.mesh.double_sided
-                        )
-                    if frags is None:
-                        continue
-                    rasterized += 1
-                    if opt.z_before_texture:
-                        passed = depth.test_and_update(frags.ys, frags.xs, frags.z)
-                        frags = _select(frags, passed)
-                        if len(frags) == 0:
-                            continue
-                    n_fragments += len(frags)
-                    grid = footprint_tiles_grid(
-                        tex, inst.texture_id, frags.u, frags.v, frags.lod,
-                        opt.filter_mode,
-                    )
-                    if inst.secondary_texture_id is not None:
-                        # Multi-texturing: the second texture is sampled per
-                        # fragment, interleaved with the base texture's
-                        # footprint — exactly the access pattern that
-                        # inflates the intra-frame working set (§4).
-                        sec = self.manager.texture(inst.secondary_texture_id)
-                        sec_grid = footprint_tiles_grid(
-                            sec,
-                            inst.secondary_texture_id,
-                            frags.u,
-                            frags.v,
-                            frags.lod + secondary_lod_shift(tex, sec),
-                            opt.filter_mode,
-                        )
-                        grid = np.concatenate([grid, sec_grid], axis=1)
-                    ref_chunks.append(grid.reshape(-1))
-                    if opt.shade:
-                        self._shade(frags, inst, tex, depth, fb, opt)
-
-            if ref_chunks:
-                chunk_refs, chunk_weights = collapse_runs(
-                    np.concatenate(ref_chunks)
-                )
-                obj_refs.append(chunk_refs)
-                obj_weights.append(chunk_weights)
-
-        return self._assemble_output(
-            obj_refs, obj_weights, n_fragments, culled, rasterized, fb
-        )
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _assemble_output(
         obj_refs, obj_weights, n_fragments, culled, rasterized, fb
@@ -570,26 +424,6 @@ class Renderer:
             rasterized_triangles=rasterized,
         )
 
-    def _raster_one(self, cpos, cuv, tex, double_sided) -> Fragments | None:
-        opt = self.options
-        w_clip = cpos[:, 3]
-        ndc = cpos[:, :3] / w_clip[:, None]
-        screen = np.empty((3, 2), dtype=np.float64)
-        screen[:, 0] = (ndc[:, 0] + 1.0) * 0.5 * opt.width
-        screen[:, 1] = (1.0 - ndc[:, 1]) * 0.5 * opt.height
-        return rasterize_triangle(
-            screen_xy=screen,
-            inv_w=1.0 / w_clip,
-            uv=cuv,
-            z_ndc=ndc[:, 2],
-            width=opt.width,
-            height=opt.height,
-            tex_width=tex.width,
-            tex_height=tex.height,
-            double_sided=double_sided,
-            order=opt.order,
-        )
-
     def _shade(self, frags, inst, tex, depth, fb, opt) -> None:
         if opt.z_before_texture:
             # Depth already resolved; every surviving fragment is visible.
@@ -613,32 +447,6 @@ class Renderer:
             )
             colors = colors * (light.mean(axis=1, keepdims=True) / 255.0)
         fb.write_pixels(vis.ys, vis.xs, colors)
-
-
-class _AnimationFrames:
-    """Lazy sequence the ``render_animation`` deprecation shim returns.
-
-    Duck-types the old ``list[FrameOutput]`` for its two observed uses —
-    ``len()`` and (possibly repeated) iteration — without materializing:
-    each iteration streams fresh ``FrameOutput`` objects from
-    :meth:`Renderer.iter_frames` and retains none of them, and indexing
-    renders exactly the requested frame.
-    """
-
-    def __init__(self, renderer: "Renderer", cameras: list[Camera]):
-        self._renderer = renderer
-        self._cameras = cameras
-
-    def __len__(self) -> int:
-        return len(self._cameras)
-
-    def __iter__(self) -> Iterator[FrameOutput]:
-        return self._renderer.iter_frames(self._cameras)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self._cameras)))]
-        return self._renderer.render_frame(self._cameras[i])
 
 
 def _select(frags: Fragments, mask: np.ndarray) -> Fragments:

@@ -11,9 +11,9 @@ The on-disk format is a deterministic ``.npz`` (fixed zip timestamps, so
 equal state produces equal bytes) written atomically
 (:mod:`repro.reliability.atomic`) with a CRC32 per payload array in the
 manifest (:mod:`repro.reliability.integrity`). Each checkpoint embeds a
-*run key* binding it to the exact (trace content, hierarchy config,
-engine); resuming against anything else fails loudly instead of silently
-mixing runs.
+*run key* binding it to the exact (trace content, hierarchy config);
+resuming against anything else fails loudly instead of silently mixing
+runs.
 
 Damage handling mirrors the trace and simulation caches: the strict reader
 :func:`read_checkpoint` raises :class:`~repro.errors.CheckpointCorruptError`,
@@ -59,16 +59,17 @@ __all__ = [
 
 #: Bump when the serialized layout changes.
 #: v3 added per-tenant 2-D frame columns (``f_tenant_*``) and partitioned
-#: L2/TLB state trees for multi-tenant runs; v2 files (single-tenant by
-#: construction) remain readable.
+#: L2/TLB state trees for multi-tenant runs.
 CHECKPOINT_VERSION = 3
 
-#: Older layouts the reader still accepts.
-READABLE_CHECKPOINT_VERSIONS = (2, CHECKPOINT_VERSION)
+#: Layouts the reader accepts.
+READABLE_CHECKPOINT_VERSIONS = (CHECKPOINT_VERSION,)
 
 
-def run_key(trace: Trace, config: HierarchyConfig, engine: str) -> str:
-    """Digest binding a checkpoint to one (trace, config, engine) run."""
+def run_key(trace: Trace, config: HierarchyConfig) -> str:
+    """Digest binding a checkpoint to one (trace, config) run."""
+    from repro.core.hierarchy import ENGINE
+
     m = trace.meta
     return "|".join(
         [
@@ -78,7 +79,7 @@ def run_key(trace: Trace, config: HierarchyConfig, engine: str) -> str:
             m.filter_mode,
             f"f{m.n_frames}",
             f"crc{trace.fingerprint():08x}",
-            engine,
+            ENGINE,
             repr(config),
         ]
     )
@@ -221,24 +222,12 @@ def read_checkpoint(
     for name, arr in arrays.items():
         if name not in checksums or array_checksum(arr) != checksums[name]:
             raise CheckpointCorruptError(path, f"checksum mismatch on {name!r}")
-    if expected_key is not None:
-        # A file written by an older (still-readable) layout embeds that
-        # layout's version in its run key; accept it for the same run.
-        accepted = {expected_key}
-        prefix = f"ckpt{CHECKPOINT_VERSION}|"
-        if version != CHECKPOINT_VERSION and expected_key.startswith(prefix):
-            legacy = f"ckpt{version}|" + expected_key[len(prefix):]
-            if version == 2 and legacy.endswith(", tenancy=None)"):
-                # v2 predates HierarchyConfig.tenancy, so its embedded
-                # config repr lacks the field.
-                legacy = legacy[: -len(", tenancy=None)")] + ")"
-            accepted.add(legacy)
-        if meta.get("key") not in accepted:
-            exc = CheckpointCorruptError(
-                path, "bound to a different (trace, config, engine) run"
-            )
-            exc.mismatch = True
-            raise exc
+    if expected_key is not None and meta.get("key") != expected_key:
+        exc = CheckpointCorruptError(
+            path, "bound to a different (trace, config) run"
+        )
+        exc.mismatch = True
+        raise exc
 
     frame_index = int(meta.get("frame_index", -1))
     frame_cols = {

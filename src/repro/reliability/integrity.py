@@ -13,7 +13,6 @@ and dropped).
 
 from __future__ import annotations
 
-import json
 import os
 import zipfile
 import zlib
@@ -99,23 +98,22 @@ def verify_npz(path: str | os.PathLike) -> VerifyReport:
     """Verify a trace archive's structure and checksums, streaming.
 
     Raises :class:`TraceCorruptionError` only when the archive container or
-    its manifest is unreadable; per-array damage is reported in the
-    returned :class:`VerifyReport` instead so the caller can show a
-    per-frame integrity table.
+    its manifest is unreadable, and :class:`~repro.errors.TraceFormatError`
+    when the manifest names an unsupported format version; per-array
+    damage is reported in the returned :class:`VerifyReport` instead so
+    the caller can show a per-frame integrity table.
     """
+    # Imported here: the trace format module imports this one.
+    from repro.trace.tracefile import _read_meta
+
     path = os.fspath(path)
     try:
         data = np.load(path)
     except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
         raise TraceCorruptionError(path, f"unreadable archive: {exc}") from exc
     with data:
-        try:
-            meta = json.loads(
-                bytes(_load_member(data, "meta_json", path)).decode("utf-8")
-            )
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TraceCorruptionError(path, f"manifest undecodable: {exc}") from exc
-        version = int(meta.get("version", 0))
+        meta = _read_meta(data, path)
+        version = int(meta["version"])
         n_frames = int(meta.get("n_frames", 0))
         report = VerifyReport(path=path, version=version, n_frames=n_frames)
         checksums: dict[str, int] = meta.get("checksums", {})

@@ -151,7 +151,6 @@ class PartitionedL2:
         config: L2CacheConfig,
         space: AddressSpace,
         tenancy: TenancyConfig,
-        use_reference: bool = False,
     ):
         if tenancy.policy not in ("static", "way", "utility"):
             raise ValueError(
@@ -174,7 +173,6 @@ class PartitionedL2:
                     replace(config, size_bytes=n_sets * q * config.block_bytes),
                     space,
                     ways=q,
-                    use_reference=use_reference,
                 )
                 for q in quotas
             ]
@@ -186,9 +184,7 @@ class PartitionedL2:
                 )
             self.parts = [
                 L2TextureCache(
-                    replace(config, size_bytes=q * config.block_bytes),
-                    space,
-                    use_reference=use_reference,
+                    replace(config, size_bytes=q * config.block_bytes), space
                 )
                 for q in quotas
             ]
@@ -222,7 +218,6 @@ class PartitionedTLB:
         n_entries: int,
         policy: str,
         tenancy: TenancyConfig,
-        use_reference: bool = False,
     ):
         quotas = tenancy.tlb_quotas
         if quotas is None:
@@ -231,10 +226,7 @@ class PartitionedTLB:
             raise ValueError(
                 f"TLB quotas {quotas} exceed the {n_entries} entries"
             )
-        self.parts = [
-            TextureTableTLB(q, policy, use_reference=use_reference)
-            for q in quotas
-        ]
+        self.parts = [TextureTableTLB(q, policy) for q in quotas]
 
     def access_frame(self, tenant: int, gids: np.ndarray) -> TLBFrameResult:
         """Translate one tenant's segment through its private sub-TLB."""

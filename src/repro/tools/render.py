@@ -9,9 +9,9 @@ With ``--stream`` the output is a chunked trace *directory* written frame
 by frame in bounded memory (the paper-scale path); pass it to
 ``python -m repro.tools.simulate`` exactly like an .npz file.
 
-With ``--jobs N`` (default ``$REPRO_JOBS``, falling back to the legacy
-``$REPRO_RENDER_WORKERS``) frame shards render across N supervised worker
-processes; the output is byte-identical to a serial render whatever N is.
+With ``--jobs N`` (default ``$REPRO_JOBS``, else 1) frame shards render
+across N supervised worker processes; the output is byte-identical to a
+serial render whatever N is.
 N is clamped to the CPUs the process may use, and a clamp to 1 renders
 serially.
 """
@@ -74,9 +74,8 @@ def main(argv: list[str] | None = None) -> int:
     par.add_argument(
         "--jobs",
         default=None,
-        help="render worker processes (>= 1; default $REPRO_JOBS, then the "
-             "legacy $REPRO_RENDER_WORKERS, then 1; at most the available "
-             "CPUs)",
+        help="render worker processes (>= 1; default $REPRO_JOBS, then 1; "
+             "at most the available CPUs)",
     )
     args = parser.parse_args(argv)
 

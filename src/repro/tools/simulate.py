@@ -289,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         validate_vt_flags(args)
         validate_tenant_flags(args)
+        l1 = L1CacheConfig(size_bytes=int(args.l1_kb * 1024), ways=args.ways)
     except ConfigError as exc:
         parser.error(str(exc))
     if not 0.0 <= args.fault_rate <= 1.0:
@@ -385,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
             ways=args.tenant_ways,
         )
     config = HierarchyConfig(
-        l1=L1CacheConfig(size_bytes=int(args.l1_kb * 1024), ways=args.ways),
+        l1=l1,
         l2=l2,
         tlb_entries=args.tlb,
         fault_model=fault_model,
@@ -402,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             loaded = ckpt.read_checkpoint(
                 args.resume_from,
-                expected_key=ckpt.run_key(trace, config, sim.engine),
+                expected_key=ckpt.run_key(trace, config),
             )
         except ckpt.CheckpointCorruptError as exc:
             if getattr(exc, "mismatch", False):

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from repro.errors import TraceCorruptionError
+from repro.errors import TraceCorruptionError, TraceFormatError
 from repro.experiments.reporting import format_table, kb, mb
 from repro.reliability.integrity import verify_npz
 from repro.trace.locality import frame_reuse_distance_histogram
@@ -44,14 +44,16 @@ def _verify(path: str) -> int:
         print(f"trace: {path}")
         print(f"  CORRUPT: {exc.detail}")
         return 1
+    except TraceFormatError as exc:
+        print(f"trace: {path}")
+        print(f"  UNSUPPORTED: {exc}")
+        return 1
 
     print(f"trace: {path}")
     print(
         f"  format v{report.version}, {report.n_frames} frames, "
         f"{len(report.checks)} arrays checked"
     )
-    if report.version < 3:
-        print("  (v2 archive: no checksum manifest; structural checks only)")
     rows = [
         [str(i), report.frame_status(i)] for i in range(report.n_frames)
     ]

@@ -9,8 +9,9 @@ Format v3 adds a per-array CRC32 manifest (``checksums`` in the JSON meta)
 and writes atomically (tmp file + ``os.replace``), so a half-written or
 bit-flipped archive is detected at load time as
 :class:`~repro.errors.TraceCorruptionError` instead of silently feeding
-damaged reference streams into the simulators. v2 archives (no checksums)
-are still read.
+damaged reference streams into the simulators. Archives of any other
+version (v2 had no checksums) are rejected with
+:class:`~repro.errors.TraceFormatError`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from repro.trace.trace import FrameTrace, Trace, TraceMeta
 __all__ = ["save_trace", "load_trace", "read_meta"]
 
 _FORMAT_VERSION = 3
-
-#: Versions :func:`load_trace` accepts (v2 predates the checksum manifest).
-_SUPPORTED_VERSIONS = (2, 3)
 
 
 def _build_payload(trace: Trace) -> dict[str, np.ndarray]:
@@ -106,10 +104,10 @@ def _read_meta(data: np.lib.npyio.NpzFile, path: str | os.PathLike) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TraceCorruptionError(path, f"manifest undecodable: {exc}") from exc
     version = meta.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _FORMAT_VERSION:
         raise TraceFormatError(
             f"trace file {path} has format version {version}, "
-            f"expected one of {_SUPPORTED_VERSIONS}"
+            f"expected {_FORMAT_VERSION}"
         )
     return meta
 
@@ -134,9 +132,8 @@ def _checked(
 def load_trace(path: str | os.PathLike, verify: bool = True) -> Trace:
     """Load a trace saved by :func:`save_trace`.
 
-    v3 archives are checksum-verified per array while loading (disable
-    with ``verify=False``); v2 archives load without checksums. Any
-    structural damage — unreadable zip, missing per-frame arrays, failed
+    Arrays are checksum-verified while loading (disable with
+    ``verify=False``). Any structural damage — unreadable zip, missing per-frame arrays, failed
     checksums — raises :class:`TraceCorruptionError` naming the file and
     the offending array.
     """

@@ -1,7 +1,7 @@
-"""Differential tests: batched L2/TLB kernels vs the reference loops.
+"""Differential tests: batched L2/TLB kernels vs the oracle's loops.
 
 The batched engines must be *bit-identical* to the per-access reference
-loops — per-frame full/partial/miss/eviction counts, hit counts, carried
+loops of the test oracle (:mod:`tests.oracle`) — per-frame full/partial/miss/eviction counts, hit counts, carried
 replacement-policy state, and end-of-run residency state — across random
 streams, every replacement policy, and chunk boundaries (including the
 truncate-and-reprocess path taken when an evicted entry recurs within a
@@ -22,6 +22,12 @@ from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace
 
 from tests.core.test_hierarchy_properties import random_trace
+from tests.oracle import (
+    ReferenceL2,
+    ReferenceSetAssociativeL2,
+    ReferenceTLB,
+    reference_hierarchy,
+)
 
 
 class FakeSpace:
@@ -48,7 +54,7 @@ def make_pair(policy, n_blocks, n_entries, chunk_size, tile=16):
         size_bytes=n_blocks * tile * tile * 4, l2_tile_texels=tile, policy=policy
     )
     space = FakeSpace(n_entries)
-    ref = L2TextureCache(cfg, space, use_reference=True)
+    ref = ReferenceL2(cfg, space)
     bat = L2TextureCache(cfg, space, chunk_size=chunk_size)
     return ref, bat
 
@@ -116,7 +122,7 @@ class TestL2Differential:
     def test_deallocate_matches_reference(self):
         space = AddressSpace([Texture("a", 64, 64), Texture("b", 128, 128)])
         cfg = L2CacheConfig(size_bytes=16 * 1024, l2_tile_texels=16)
-        ref = L2TextureCache(cfg, space, use_reference=True)
+        ref = ReferenceL2(cfg, space)
         bat = L2TextureCache(cfg, space)
         rng = np.random.default_rng(3)
         n_entries = space.total_l2_blocks(16)
@@ -142,7 +148,7 @@ class TestSetAssociativeDifferential:
         n_blocks = ways * sets_factor
         cfg = L2CacheConfig(size_bytes=n_blocks * 16 * 16 * 4, l2_tile_texels=16)
         space = FakeSpace(n_entries)
-        ref = SetAssociativeL2Cache(cfg, space, ways=ways, use_reference=True)
+        ref = ReferenceSetAssociativeL2(cfg, space, ways=ways)
         bat = SetAssociativeL2Cache(cfg, space, ways=ways)
         for _ in range(int(rng.integers(1, 4))):
             gids, subs = random_stream(
@@ -163,7 +169,7 @@ class TestTLBDifferential:
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_hits_and_state(self, seed, cap, policy, universe):
         rng = np.random.default_rng(seed)
-        ref = TextureTableTLB(cap, policy, use_reference=True)
+        ref = ReferenceTLB(cap, policy)
         bat = TextureTableTLB(cap, policy)
         for _ in range(int(rng.integers(1, 5))):
             gids = rng.integers(0, universe, int(rng.integers(0, 300)))
@@ -182,9 +188,7 @@ class TestHierarchyEndToEnd:
             l2=L2CacheConfig(size_bytes=16 * 1024, l2_tile_texels=16),
             tlb_entries=4,
         )
-        ref = MultiLevelTextureCache(config, space, use_reference=True).run_trace(
-            trace
-        )
+        ref = reference_hierarchy(config, space).run_trace(trace)
         bat = MultiLevelTextureCache(config, space).run_trace(trace)
         for rf, bf in zip(ref.frames, bat.frames):
             assert rf == bf

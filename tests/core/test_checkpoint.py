@@ -2,8 +2,8 @@
 
 The load-bearing claim is bit-identity: a run interrupted at any frame
 boundary and resumed from its checkpoint must produce exactly the frames —
-and exactly the simulation-store bytes — of an uninterrupted run, for both
-engines, every replacement policy, and with the faulty-link RNG mid-stream.
+and exactly the simulation-store bytes — of an uninterrupted run, for every
+replacement policy, and with the faulty-link RNG mid-stream.
 """
 
 import numpy as np
@@ -88,7 +88,6 @@ def make_config(policy, faulty, vt=False):
 
 
 class TestSnapshotRestoreProperty:
-    @pytest.mark.parametrize("use_reference", [True, False], ids=["ref", "batched"])
     @pytest.mark.parametrize("policy", ["clock", "lru", "fifo", "random"])
     @given(
         seed=st.integers(0, 10_000),
@@ -98,22 +97,20 @@ class TestSnapshotRestoreProperty:
     )
     @settings(max_examples=10, deadline=None)
     def test_property_resume_at_any_boundary_is_bit_identical(
-        self, policy, use_reference, seed, boundary, faulty, vt
+        self, policy, seed, boundary, faulty, vt
     ):
         space = make_space()
         trace = random_trace(space, seed)
         config = make_config(policy, faulty, vt)
-        expected = MultiLevelTextureCache(
-            config, space, use_reference=use_reference
-        ).run_trace(trace)
+        expected = MultiLevelTextureCache(config, space).run_trace(trace)
 
-        first = MultiLevelTextureCache(config, space, use_reference=use_reference)
+        first = MultiLevelTextureCache(config, space)
         head = [first.run_frame(f) for f in trace.frames[:boundary]]
         state = first.snapshot_state()
 
         # A brand-new simulator restored from the snapshot must continue
         # exactly where the first one stopped.
-        second = MultiLevelTextureCache(config, space, use_reference=use_reference)
+        second = MultiLevelTextureCache(config, space)
         second.restore_state(state)
         tail = [second.run_frame(f) for f in trace.frames[boundary:]]
         assert head + tail == expected.frames
@@ -134,7 +131,7 @@ class TestSnapshotRestoreProperty:
 
         sim = MultiLevelTextureCache(config, space)
         frames = [sim.run_frame(f) for f in trace.frames[:boundary]]
-        key = ckpt.run_key(trace, config, sim.engine)
+        key = ckpt.run_key(trace, config)
         ckpt.write_checkpoint(
             path,
             key=key,
@@ -164,7 +161,7 @@ class TestRunTraceCheckpointing:
         # The last intermediate checkpoint (frame 4 of 6) is still on disk;
         # resuming replays only the tail and must agree exactly.
         loaded = ckpt.read_checkpoint(
-            path, expected_key=ckpt.run_key(trace, config, "batched")
+            path, expected_key=ckpt.run_key(trace, config)
         )
         assert loaded.frame_index == 4
         assert loaded.frames == full.frames[:4]
@@ -202,7 +199,7 @@ class TestRunTraceCheckpointing:
         sim = MultiLevelTextureCache(config, space)
         frames = [sim.run_frame(f) for f in trace.frames[:2]]
         kwargs = dict(
-            key=ckpt.run_key(trace, config, sim.engine),
+            key=ckpt.run_key(trace, config),
             frame_index=2,
             n_frames=N_FRAMES,
             frames=frames,
@@ -220,7 +217,7 @@ class TestDamageHandling:
         config = make_config("clock", faulty=False)
         sim = MultiLevelTextureCache(config, space)
         frames = [sim.run_frame(f) for f in trace.frames[:3]]
-        key = ckpt.run_key(trace, config, sim.engine)
+        key = ckpt.run_key(trace, config)
         path = ckpt.write_checkpoint(
             tmp_path / "run.ckpt",
             key=key,

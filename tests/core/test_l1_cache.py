@@ -2,8 +2,8 @@
 
 The load-bearing tests here are the differential property tests: the
 1-/2-way run kernel and the recency-level kernel must match the explicit
-per-access reference implementation on arbitrary streams, including
-across frame boundaries and checkpoint cuts.
+per-access loop of the test oracle (:class:`tests.oracle.ReferenceL1`) on
+arbitrary streams, including across frame boundaries and checkpoint cuts.
 """
 
 import numpy as np
@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.l1_cache import L1CacheConfig, L1CacheSim
+from repro.core.l1_cache import MAX_WAYS, L1CacheConfig, L1CacheSim
+from repro.errors import ConfigError
+
+from tests.oracle import ReferenceL1
 
 
 def ones(n):
@@ -42,9 +45,9 @@ class TestConfig:
 
 
 class TestBasicBehaviour:
-    def _sim(self, ways=2, sets=4, reference=False):
+    def _sim(self, ways=2, sets=4):
         cfg = L1CacheConfig(size_bytes=sets * ways * 64, ways=ways)
-        return L1CacheSim(cfg, use_reference=reference)
+        return L1CacheSim(cfg)
 
     def test_cold_miss_then_hit(self):
         sim = self._sim()
@@ -146,7 +149,7 @@ class TestVectorizedMatchesReference:
         n_sets = 1 << log_sets
         cfg = L1CacheConfig(size_bytes=n_sets * ways * 64, ways=ways)
         fast = L1CacheSim(cfg)
-        ref = L1CacheSim(cfg, use_reference=True)
+        ref = ReferenceL1(cfg)
         refs = np.array(tags, dtype=np.int64)
         sets = refs % n_sets
         # Split the stream into frames to also exercise state carry-over.
@@ -161,7 +164,7 @@ class TestVectorizedMatchesReference:
         # Same tag in different sets, plus rapid alternation.
         cfg = L1CacheConfig(size_bytes=2 * 2 * 64, ways=2)
         fast = L1CacheSim(cfg)
-        ref = L1CacheSim(cfg, use_reference=True)
+        ref = ReferenceL1(cfg)
         refs = np.array([5, 5, 6, 5, 7, 6, 5, 7, 8, 5, 5, 8], dtype=np.int64)
         sets = np.array([0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0], dtype=np.int64)
         a = fast.access_frame(refs, ones(len(refs)), sets)
@@ -213,8 +216,8 @@ class TestRunKernelMatchesReference:
         bounds = [0, *sorted(min(c, len(tags)) for c in cuts), len(tags)]
         cut = data.draw(st.integers(0, len(bounds) - 2))
         fast = L1CacheSim(cfg)
-        ref = L1CacheSim(cfg, use_reference=True)
-        assert fast.engine == "vectorized"
+        ref = ReferenceL1(cfg)
+        assert fast._stack is None  # the run kernel
         for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
             r_fast = fast.access_frame(refs[a:b], ones(b - a), sets[a:b])
             r_ref = ref.access_frame(refs[a:b], ones(b - a), sets[a:b])
@@ -275,20 +278,15 @@ class TestStackedMatchesReference:
     """
 
     def test_engine_selection(self):
-        assert L1CacheSim(L1CacheConfig(size_bytes=2048)).engine == "vectorized"
-        assert (
-            L1CacheSim(L1CacheConfig(size_bytes=4 * 64, ways=4)).engine
-            == "stacked"
-        )
-        assert (
-            L1CacheSim(
-                L1CacheConfig(size_bytes=4 * 64, ways=4), use_reference=True
-            ).engine
-            == "reference"
-        )
-        # Past the kernel's width cap the loop is the engine of record.
-        wide = L1CacheConfig(size_bytes=128 * 64, ways=128)
-        assert L1CacheSim(wide).engine == "reference"
+        # The kernel follows the associativity: run kernel up to 2 ways,
+        # stacked kernel from 3 to MAX_WAYS; the snapshot layout says which.
+        for ways, layout in ((1, "vectorized"), (2, "vectorized"),
+                             (3, "general"), (MAX_WAYS, "general")):
+            sim = L1CacheSim(L1CacheConfig(size_bytes=4 * ways * 64, ways=ways))
+            assert sim.snapshot_state()["engine"] == layout
+        # Past the kernel's width cap there is no engine of record.
+        with pytest.raises(ConfigError, match="at most 64 ways"):
+            L1CacheConfig(size_bytes=128 * 64, ways=128)
 
     @given(
         st.integers(3, 8),  # ways
@@ -301,8 +299,8 @@ class TestStackedMatchesReference:
         n_sets = 1 << log_sets
         cfg = L1CacheConfig(size_bytes=n_sets * ways * 64, ways=ways)
         fast = L1CacheSim(cfg)
-        ref = L1CacheSim(cfg, use_reference=True)
-        assert fast.engine == "stacked" and ref.engine == "reference"
+        ref = ReferenceL1(cfg)
+        assert fast._stack is not None  # the stacked kernel
         refs = np.array(tags, dtype=np.int64)
         sets = refs % n_sets
         bounds = np.linspace(0, len(refs), n_frames + 1).astype(int)
@@ -328,12 +326,12 @@ class TestStackedMatchesReference:
         sets = refs % n_sets
         cut = data.draw(st.integers(1, len(tags) - 1))
 
-        ref = L1CacheSim(cfg, use_reference=True)
+        ref = ReferenceL1(cfg)
         ref.access_frame(refs[:cut], ones(cut), sets[:cut])
         expect = ref.access_frame(refs[cut:], ones(len(refs) - cut), sets[cut:])
 
-        resumed = L1CacheSim(cfg)  # stacked engine
-        ref_half = L1CacheSim(cfg, use_reference=True)
+        resumed = L1CacheSim(cfg)  # stacked kernel
+        ref_half = ReferenceL1(cfg)
         ref_half.access_frame(refs[:cut], ones(cut), sets[:cut])
         resumed.restore_state(ref_half.snapshot_state())
         got = resumed.access_frame(refs[cut:], ones(len(refs) - cut), sets[cut:])
@@ -343,7 +341,7 @@ class TestStackedMatchesReference:
         # And the reverse direction: stacked snapshot resumes the loop.
         stacked_half = L1CacheSim(cfg)
         stacked_half.access_frame(refs[:cut], ones(cut), sets[:cut])
-        loop_resumed = L1CacheSim(cfg, use_reference=True)
+        loop_resumed = ReferenceL1(cfg)
         loop_resumed.restore_state(stacked_half.snapshot_state())
         got2 = loop_resumed.access_frame(
             refs[cut:], ones(len(refs) - cut), sets[cut:]

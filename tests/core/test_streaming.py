@@ -11,6 +11,8 @@ from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
 
+from tests.oracle import reference_hierarchy
+
 
 def make_sim(space, l2_blocks=16):
     return MultiLevelTextureCache(
@@ -130,7 +132,7 @@ class TestStreaming:
             l2=L2CacheConfig(size_bytes=4 * 1024, l2_tile_texels=16),
             tlb_entries=4,
         )
-        ref_sim = MultiLevelTextureCache(config, space, use_reference=True)
+        ref_sim = reference_hierarchy(config, space)
         bat_sim = MultiLevelTextureCache(config, space)
         ref = StreamingDriver(ref_sim, idle_frames=2).run_trace(trace)
         bat = StreamingDriver(bat_sim, idle_frames=2).run_trace(trace)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import Scale
-from repro.experiments.traces import render_trace, render_workers
+from repro.experiments import traces
+from repro.experiments.traces import render_trace, resolve_render_jobs
 from repro.texture.sampler import FilterMode
 
 MICRO = Scale(width=64, height=48, frames=4, detail=0.2, name="micro")
@@ -32,11 +33,8 @@ class TestParallelRender:
         assert trace.meta.workload == "city+zfirst"
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RENDER_WORKERS", raising=False)
-        assert render_workers() == 1
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "6")
-        assert render_workers() == 6
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "junk")
-        assert render_workers() == 1
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "0")
-        assert render_workers() == 1
+        monkeypatch.setattr(traces, "available_cpus", lambda: 8)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert resolve_render_jobs() == 1
+        monkeypatch.setenv("REPRO_JOBS", "6")
+        assert resolve_render_jobs() == 6

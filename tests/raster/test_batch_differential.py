@@ -2,7 +2,8 @@
 
 The batched engine (:mod:`repro.raster.batch`, and the pipeline built on
 it) must be *bit-identical* — not merely close — to the per-triangle
-reference, for every field of every fragment and for the final packed
+reference of the test oracle (:mod:`tests.oracle`), for every field of
+every fragment and for the final packed
 trace streams, under both raster orders, with clipped geometry, secondary
 textures, depth testing, and shading. These tests are that proof.
 """
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 from repro.raster.batch import FragmentBatch, rasterize_triangles
 from repro.raster.pipeline import RenderOptions, Renderer
-from repro.raster.rasterizer import RasterOrder, rasterize_triangle
+from repro.raster.rasterizer import RasterOrder
 from repro.scenes import WORKLOAD_BUILDERS
 from repro.texture.sampler import FilterMode
 
+from tests.oracle import ReferenceRenderer, rasterize_triangle
 from tests.raster.test_pipeline import camera, simple_scene
 
 W, H = 48, 40
@@ -160,9 +162,8 @@ def _frame_equal(a, b, check_image):
 
 
 def render_both(instances, mgr, options, n_frames=2):
-    ref = Renderer(instances, mgr, options, use_reference=True)
-    bat = Renderer(instances, mgr, options, use_reference=False)
-    assert ref.engine == "reference" and bat.engine == "batched"
+    ref = ReferenceRenderer(instances, mgr, options)
+    bat = Renderer(instances, mgr, options)
     cams = [camera() for _ in range(n_frames)]
     return (
         list(ref.iter_frames(cams)),
@@ -199,8 +200,7 @@ class TestWorkloadDifferential:
         opts = RenderOptions(width=96, height=72, order=order,
                              filter_mode=FilterMode.BILINEAR)
         cams = wl.cameras(2)
-        ref = Renderer(wl.scene.instances, wl.scene.manager, opts,
-                       use_reference=True)
+        ref = ReferenceRenderer(wl.scene.instances, wl.scene.manager, opts)
         bat = Renderer(wl.scene.instances, wl.scene.manager, opts)
         for a, b in zip(ref.iter_frames(cams), bat.iter_frames(cams)):
             _frame_equal(a, b, check_image=False)

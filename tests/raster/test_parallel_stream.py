@@ -117,16 +117,12 @@ class TestResolveRenderJobs:
 
     def test_repro_jobs_takes_precedence(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "2")
         assert resolve_render_jobs() == 4
 
     @pytest.mark.parametrize("cpus, expect", [(1, 1), (2, 2), (3, 3), (16, 4)])
     def test_clamps_to_available_cpus(self, monkeypatch, cpus, expect):
         monkeypatch.setattr(traces, "available_cpus", lambda: cpus)
         monkeypatch.setenv("REPRO_JOBS", "4")
-        assert resolve_render_jobs() == expect
-        monkeypatch.delenv("REPRO_JOBS")
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "4")
         assert resolve_render_jobs() == expect
         assert clamp_render_jobs(4) == expect
 
@@ -148,12 +144,10 @@ class TestResolveRenderJobs:
         assert calls == [1]
         assert "(1 job(s))" in capsys.readouterr().out
 
-    def test_legacy_fallback_stays_lenient(self, monkeypatch):
+    def test_legacy_variable_is_ignored(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "junk")
-        assert resolve_render_jobs() == 1
         monkeypatch.setenv("REPRO_RENDER_WORKERS", "3")
-        assert resolve_render_jobs() == 3
+        assert resolve_render_jobs() == 1
 
     def test_repro_jobs_is_strictly_validated(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "junk")

@@ -161,56 +161,6 @@ class TestShading:
         outs = list(r.iter_frames([camera(), camera()]))
         assert len(outs) == 2
 
-    def test_render_animation_deprecated_shim(self):
-        instances, mgr = simple_scene()
-        r = Renderer(instances, mgr, RenderOptions(width=16, height=16))
-        with pytest.warns(DeprecationWarning):
-            outs = r.render_animation([camera(), camera()])
-        assert len(outs) == 2
-        expected = list(r.iter_frames([camera(), camera()]))
-        for a, b in zip(outs, expected):
-            assert np.array_equal(a.trace.refs, b.trace.refs)
-
-    def test_render_animation_is_lazy_and_memory_bounded(self):
-        """The shim must forward through iter_frames without materializing.
-
-        Nothing renders until the sequence is consumed, partial iteration
-        renders only the consumed prefix, and a full pass retains no
-        frames (each yielded FrameOutput is garbage the moment the loop
-        advances) — the memory-bounded regression for the old
-        list-returning shim.
-        """
-        import gc
-        import weakref
-
-        instances, mgr = simple_scene()
-        r = Renderer(instances, mgr, RenderOptions(width=16, height=16))
-        calls = []
-        real_render = r.render_frame
-        r.render_frame = lambda cam: (calls.append(1), real_render(cam))[1]
-
-        with pytest.warns(DeprecationWarning):
-            outs = r.render_animation([camera() for _ in range(8)])
-        assert len(outs) == 8
-        assert calls == []  # constructing the sequence renders nothing
-
-        it = iter(outs)
-        first = next(it)
-        assert len(calls) == 1  # partial iteration = partial rendering
-
-        # A consumed frame is not retained anywhere by the sequence.
-        ref = weakref.ref(first)
-        del first
-        gc.collect()
-        assert ref() is None
-
-        assert sum(1 for _ in outs) == 8  # fresh full pass still works
-        assert len(calls) == 1 + 8
-
-        # Indexing renders exactly the requested frame.
-        outs[3]
-        assert len(calls) == 1 + 8 + 1
-
 
 class TestTiledOrder:
     def test_tiled_and_scanline_same_fragments(self):

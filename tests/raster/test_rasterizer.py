@@ -1,9 +1,15 @@
-"""Tests for the triangle rasterizer: coverage, attributes, LOD, ordering."""
+"""Tests for the triangle rasterizer: coverage, attributes, LOD, ordering.
+
+They drive the test oracle's per-triangle rasterizer, which the batched
+production rasterizer matches bit for bit (``test_batch_differential``).
+"""
 
 import numpy as np
 import pytest
 
-from repro.raster.rasterizer import RasterOrder, rasterize_triangle
+from repro.raster.rasterizer import RasterOrder
+
+from tests.oracle import rasterize_triangle
 
 
 def raster(screen, inv_w=None, uv=None, z=None, wh=(32, 32), tex=(64, 64), **kw):

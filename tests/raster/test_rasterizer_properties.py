@@ -1,10 +1,14 @@
-"""Property tests for the rasterizer's geometric invariants."""
+"""Property tests for the rasterizer's geometric invariants.
+
+They drive the test oracle's per-triangle rasterizer, which the batched
+production rasterizer matches bit for bit (``test_batch_differential``).
+"""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.raster.rasterizer import rasterize_triangle
+from tests.oracle import rasterize_triangle
 
 coord = st.floats(-20.0, 52.0)
 triangle = st.tuples(coord, coord, coord, coord, coord, coord)

@@ -1,4 +1,4 @@
-"""Checkpoint format v3: tenant columns, partitioned state, v2 back-compat."""
+"""Checkpoint format v3: tenant columns, partitioned state, old versions rejected."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core.hierarchy import HierarchyConfig, MultiLevelTextureCache
 from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
-from repro.errors import CheckpointCorruptError
+from repro.errors import CheckpointCorruptError, CorruptCheckpointWarning
 from repro.reliability import checkpoint as ckpt
 from repro.tenancy import TenancyConfig, merge_traces
 
@@ -113,12 +113,13 @@ class TestTenancyCheckpointing:
 
 
 class TestBackCompat:
-    def test_v2_checkpoint_still_readable(self, village_trace, tmp_path, monkeypatch):
+    def test_v2_checkpoint_rejected(self, village_trace, tmp_path, monkeypatch):
         config = _config()
         sim = MultiLevelTextureCache(config, village_trace.address_space)
         frames = [sim.run_frame(village_trace.frames[0])]
-        key3 = ckpt.run_key(village_trace, config, sim.engine)
+        key3 = ckpt.run_key(village_trace, config)
         assert key3.startswith("ckpt3|")
+        assert "|batched|" in key3
         assert key3.endswith(", tenancy=None)")
 
         # Forge the file a pre-tenancy build would have written: layout
@@ -138,18 +139,12 @@ class TestBackCompat:
         )
         monkeypatch.undo()
 
-        loaded = ckpt.read_checkpoint(path, expected_key=key3)
-        assert loaded.frame_index == 1
-        assert loaded.frames == frames
-
-        # The legacy rewrite only accepts the *same* run.
-        other = ckpt.run_key(
-            village_trace,
-            _config(TenancyConfig(tid_bases=(0,))),
-            sim.engine,
-        )
-        with pytest.raises(CheckpointCorruptError, match="different"):
-            ckpt.read_checkpoint(path, expected_key=other)
+        with pytest.raises(CheckpointCorruptError, match="unsupported version 2"):
+            ckpt.read_checkpoint(path, expected_key=key3)
+        # The tolerant loader quarantines it, so a resume restarts cleanly.
+        with pytest.warns(CorruptCheckpointWarning):
+            assert ckpt.load_checkpoint(path, expected_key=key3) is None
+        assert not path.exists()
 
     def test_unsupported_version_rejected(self, village_trace, tmp_path, monkeypatch):
         config = _config()

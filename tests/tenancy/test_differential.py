@@ -1,8 +1,8 @@
 """Differential tests: every partitioning policy, batched vs reference.
 
-The dual-engine contract extends to tenancy: a merged multi-tenant stream
+The differential contract extends to tenancy: a merged multi-tenant stream
 simulated with the batched kernels must be bit-identical — including the
-per-tenant stat vectors — to the per-access reference loops, for every
+per-tenant stat vectors — to the test oracle's per-access loops, for every
 partitioning policy, and a single-tenant "merge" with a full-cache quota
 must equal the plain single-tenant simulation.
 """
@@ -21,6 +21,8 @@ from repro.tenancy import (
     utility_quotas,
     way_quotas,
 )
+
+from tests.oracle import reference_hierarchy
 
 L2 = L2CacheConfig(size_bytes=64 * 1024, l2_tile_texels=16)
 
@@ -69,8 +71,8 @@ class TestEngineIdentity:
         batched = MultiLevelTextureCache(
             config, merged.address_space
         ).run_trace(merged)
-        reference = MultiLevelTextureCache(
-            config, merged.address_space, use_reference=True
+        reference = reference_hierarchy(
+            config, merged.address_space
         ).run_trace(merged)
         # FrameCacheStats equality covers the per-tenant vectors too.
         assert batched.frames == reference.frames
@@ -89,8 +91,8 @@ class TestEngineIdentity:
         batched = MultiLevelTextureCache(
             config, merged.address_space
         ).run_trace(merged)
-        reference = MultiLevelTextureCache(
-            config, merged.address_space, use_reference=True
+        reference = reference_hierarchy(
+            config, merged.address_space
         ).run_trace(merged)
         assert batched.frames == reference.frames
 
@@ -107,8 +109,8 @@ class TestEngineIdentity:
         batched = MultiLevelTextureCache(
             config, merged.address_space
         ).run_trace(merged)
-        reference = MultiLevelTextureCache(
-            config, merged.address_space, use_reference=True
+        reference = reference_hierarchy(
+            config, merged.address_space
         ).run_trace(merged)
         assert batched.frames == reference.frames
 

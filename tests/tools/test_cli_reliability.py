@@ -7,6 +7,9 @@ import pytest
 from repro.tools.render import main as render_main
 from repro.tools.simulate import main as simulate_main
 from repro.tools.trace_info import main as trace_info_main
+from repro.trace.tracefile import load_trace
+
+from tests.trace.test_tracefile_integrity import save_v2
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +48,12 @@ class TestTraceInfoVerify:
         junk.write_bytes(b"not an archive at all")
         assert trace_info_main([str(junk), "--verify"]) == 1
         assert "CORRUPT" in capsys.readouterr().out
+
+    def test_v2_trace_fails_as_unsupported(self, trace_file, tmp_path, capsys):
+        old = tmp_path / "v2.npz"
+        save_v2(load_trace(trace_file), old)
+        assert trace_info_main([str(old), "--verify"]) == 1
+        assert "UNSUPPORTED" in capsys.readouterr().out
 
 
 class TestSimulateFaults:

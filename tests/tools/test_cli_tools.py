@@ -125,6 +125,14 @@ class TestSimulate:
         )
         assert rc == 0
 
+    def test_l1_wider_than_max_ways_exits_with_typed_error(
+        self, trace_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            simulate_main([str(trace_file), "--ways", "128"])
+        assert exc.value.code == 2
+        assert "at most 64 ways" in capsys.readouterr().err
+
 
 class TestSimulateCheckpointing:
     BASE = ["--l1-kb", "2", "--l2-kb", "64", "--fault-rate", "0.02"]

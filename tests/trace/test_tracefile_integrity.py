@@ -1,4 +1,4 @@
-"""Integrity tests for trace persistence: v3 checksums, legacy v2 reads,
+"""Integrity tests for trace persistence: v3 checksums, v2 rejection,
 corruption detection, and hypothesis round-trip properties."""
 
 import json
@@ -96,11 +96,13 @@ class TestV3Format:
         save_trace(make_trace(), tmp_path / "t.npz")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.npz"]
 
-    def test_legacy_v2_still_loads(self, tmp_path):
-        t = make_trace()
+    def test_legacy_v2_rejected(self, tmp_path):
         path = tmp_path / "v2.npz"
-        save_v2(t, path)
-        assert_traces_equal(t, load_trace(path))
+        save_v2(make_trace(), path)
+        with pytest.raises(TraceFormatError, match="version 2"):
+            load_trace(path)
+        with pytest.raises(TraceFormatError):
+            read_meta(path)
 
     def test_unsupported_version_rejected_as_valueerror(self, tmp_path):
         import repro.trace.tracefile as tf
@@ -130,8 +132,8 @@ class TestCorruptionDetection:
     def test_missing_frame_array_named(self, tmp_path):
         t = make_trace(n_frames=2)
         path = tmp_path / "t.npz"
-        save_v2(t, path)
-        # Rewrite the archive without refs_1 (a half-written v2 cache entry).
+        save_trace(t, path)
+        # Rewrite the archive without refs_1 (a half-written cache entry).
         with np.load(path) as data:
             payload = {k: data[k] for k in data.files if k != "refs_1"}
         with open(path, "wb") as fh:
@@ -194,12 +196,11 @@ class TestVerifyNpz:
         assert report.n_frames == 3
         assert all(report.frame_status(i) == "ok" for i in range(3))
 
-    def test_v2_reports_unchecksummed_but_ok(self, tmp_path):
+    def test_v2_rejected_as_unsupported(self, tmp_path):
         path = tmp_path / "v2.npz"
         save_v2(make_trace(), path)
-        report = verify_npz(path)
-        assert report.ok
-        assert all(c.status == "unchecksummed" for c in report.checks)
+        with pytest.raises(TraceFormatError, match="version 2"):
+            verify_npz(path)
 
     def test_damaged_member_reported_per_frame(self, tmp_path):
         path = tmp_path / "t.npz"
@@ -235,8 +236,8 @@ class TestChecksum:
 
 
 # ----------------------------------------------------------------------
-# Property tests: arbitrary traces survive a save/load round trip, in
-# both the current and the legacy format.
+# Property tests: arbitrary traces survive a save/load round trip in the
+# current format, and are refused in the legacy one.
 # ----------------------------------------------------------------------
 
 frame_strategy = st.integers(0, 12).flatmap(
@@ -273,8 +274,9 @@ def test_roundtrip_property_v3(tmp_path_factory, frame_specs):
 
 @settings(max_examples=25)
 @given(st.lists(frame_strategy, min_size=1, max_size=5))
-def test_roundtrip_property_legacy_v2(tmp_path_factory, frame_specs):
+def test_property_legacy_v2_rejected(tmp_path_factory, frame_specs):
     trace = build_trace(frame_specs)
     path = tmp_path_factory.mktemp("prop") / "t.npz"
     save_v2(trace, path)
-    assert_traces_equal(trace, load_trace(path))
+    with pytest.raises(TraceFormatError):
+        load_trace(path)

@@ -3,10 +3,10 @@
 Full hierarchy integration: a paged run whose chaos policy bit-flips
 resident pages *while the sweep is running* must (a) quarantine and
 refetch the damaged pages, (b) never stall a frame, (c) produce the same
-frames on the reference and batched engines, and (d) converge
-byte-identically in the simulation store after a checkpoint interrupt +
-resume — the bitflip schedule hashes the frame counter, so resumption
-must restore it exactly.
+frames on the oracle's per-access loops and the batched kernels, and (d)
+converge byte-identically in the simulation store after a checkpoint
+interrupt + resume — the bitflip schedule hashes the frame counter, so
+resumption must restore it exactly.
 """
 
 import numpy as np
@@ -22,6 +22,8 @@ from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
 from repro.vt import VtConfig
+
+from tests.oracle import reference_hierarchy
 
 N_FRAMES = 8
 
@@ -51,6 +53,13 @@ def make_trace(space, seed=17, refs_per_frame=200):
     return Trace(meta=meta, frames=frames, textures=space.textures)
 
 
+def make_sim(config, space, reference):
+    """The production hierarchy, or every level on its oracle loop."""
+    if reference:
+        return reference_hierarchy(config, space)
+    return MultiLevelTextureCache(config, space)
+
+
 def make_config():
     """Paged hierarchy with aggressive page-store damage mid-sweep."""
     return HierarchyConfig(
@@ -76,12 +85,12 @@ def make_config():
 
 
 class TestBitflipMidSweep:
-    @pytest.mark.parametrize("use_reference", [True, False], ids=["ref", "batched"])
-    def test_quarantines_refetches_and_never_stalls(self, use_reference):
+    @pytest.mark.parametrize("reference", [True, False], ids=["ref", "batched"])
+    def test_quarantines_refetches_and_never_stalls(self, reference):
         space = make_space()
-        result = MultiLevelTextureCache(
-            make_config(), space, use_reference=use_reference
-        ).run_trace(make_trace(space))
+        result = make_sim(make_config(), space, reference).run_trace(
+            make_trace(space)
+        )
         # The chaos schedule actually bit: pages were damaged and healed.
         assert result.total_page_quarantines > 0
         assert result.total_page_fetches > 0
@@ -92,17 +101,13 @@ class TestBitflipMidSweep:
         space = make_space()
         trace = make_trace(space)
         config = make_config()
-        ref = MultiLevelTextureCache(
-            config, space, use_reference=True
-        ).run_trace(trace)
-        batched = MultiLevelTextureCache(
-            config, space, use_reference=False
-        ).run_trace(trace)
+        ref = reference_hierarchy(config, space).run_trace(trace)
+        batched = MultiLevelTextureCache(config, space).run_trace(trace)
         assert ref.frames == batched.frames
 
-    @pytest.mark.parametrize("use_reference", [True, False], ids=["ref", "batched"])
+    @pytest.mark.parametrize("reference", [True, False], ids=["ref", "batched"])
     def test_interrupted_run_converges_byte_identically(
-        self, tmp_path, monkeypatch, use_reference
+        self, tmp_path, monkeypatch, reference
     ):
         from repro.experiments import simstore
 
@@ -111,15 +116,15 @@ class TestBitflipMidSweep:
         config = make_config()
         path = tmp_path / "vt.ckpt"
 
-        full = MultiLevelTextureCache(
-            config, space, use_reference=use_reference
-        ).run_trace(trace, checkpoint_path=path, checkpoint_every=3)
+        full = make_sim(config, space, reference).run_trace(
+            trace, checkpoint_path=path, checkpoint_every=3
+        )
         # The checkpoint at frame 6 is on disk; a fresh process resumes the
         # tail. Frame counter, residency, in-flight queue, and RNG must all
         # restore for the bitflip schedule to line up again.
-        resumed = MultiLevelTextureCache(
-            config, space, use_reference=use_reference
-        ).run_trace(trace, checkpoint_path=path, resume=True)
+        resumed = make_sim(config, space, reference).run_trace(
+            trace, checkpoint_path=path, resume=True
+        )
         assert resumed.frames == full.frames
         assert full.total_page_quarantines > 0
 
