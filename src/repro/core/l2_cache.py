@@ -19,11 +19,12 @@ Accounting distinguishes (per §5.4.2's conditional hit rates):
 
 The simulator is a batched kernel that classifies whole chunks of the miss
 stream with numpy passes, dropping into a tight allocation loop only at
-first-touch full misses. It is bit-identical to a per-access loop —
-per-frame transaction counts, eviction counts, final residency state, and
-replacement-policy state all match — and the differential test suite
-asserts it against that loop, kept in the test-only oracle
-(``tests/oracle/``).
+full misses; a victim that recurs later in its chunk is reclassified in
+place, so every access is classified once. It is bit-identical to a
+per-access loop — per-frame transaction counts, eviction counts, final
+residency state, and replacement-policy state all match — and the
+differential test suite asserts it against that loop, kept in the
+test-only oracle (``tests/oracle/``).
 
 :class:`SetAssociativeL2Cache` implements the organization §5.1 argues
 *against* (restricted placement causes inter-texture collisions); it exists
@@ -32,6 +33,7 @@ for the associativity ablation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,16 +149,16 @@ class L2TextureCache:
         space: address space of the workload's textures; sizes the page
             table (one entry per L2 block of every texture, the host
             driver's ``tstart``/``tlen`` allocation).
-        chunk_size: accesses per batched pass; state is re-snapshotted at
-            chunk boundaries, so smaller chunks trade throughput for
-            temporary-array footprint without changing results.
+        chunk_size: accesses per batched pass. Results do not depend on
+            it; the default keeps each per-chunk temporary array at 64 KB,
+            and larger chunks only add sort work per access.
     """
 
     def __init__(
         self,
         config: L2CacheConfig,
         space: AddressSpace,
-        chunk_size: int = 1 << 15,
+        chunk_size: int = 1 << 13,
     ):
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -238,17 +240,13 @@ class L2TextureCache:
         subs = np.asarray(subs, dtype=np.int64)
         n = len(gids)
         full_hits = partial = full_miss = evictions = 0
-        start = 0
-        while start < n:
-            stop = min(start + self._chunk_size, n)
-            done, fh, ph, fm, ev = self._access_chunk(
-                gids[start:stop], subs[start:stop]
-            )
+        for start in range(0, n, self._chunk_size):
+            stop = start + self._chunk_size
+            fh, ph, fm, ev = self._access_chunk(gids[start:stop], subs[start:stop])
             full_hits += fh
             partial += ph
             full_miss += fm
             evictions += ev
-            start += done
         return L2FrameResult(
             accesses=n,
             full_hits=full_hits,
@@ -259,17 +257,18 @@ class L2TextureCache:
 
     def _access_chunk(
         self, g: np.ndarray, s: np.ndarray
-    ) -> tuple[int, int, int, int, int]:
+    ) -> tuple[int, int, int, int]:
         """Run one chunk of the miss stream through the batched kernel.
 
         Classifies every access optimistically from a snapshot of the page
-        table plus within-chunk first-occurrence masks, then commits policy
-        touches segment-wise between full misses so every ``victim`` call
-        sees exactly the touches that preceded it. The one case the
-        snapshot cannot absorb — an evicted entry re-accessed later in the
-        same chunk — truncates the chunk at the re-access; the caller
-        re-enters with a fresh snapshot. Returns ``(processed, full_hits,
-        partial_hits, full_misses, evictions)`` for the processed prefix.
+        table plus within-chunk first-occurrence masks, then walks the full
+        misses in position order, committing policy touches segment-wise
+        between them so every ``victim`` call sees exactly the touches that
+        preceded it. An eviction whose gid recurs later in the chunk is
+        patched in place: that next occurrence joins the walk as a full
+        miss, and the gid's later accesses are reclassified against the new
+        residency episode. Returns ``(full_hits, partial_hits, full_misses,
+        evictions)``.
         """
         t_block = self._t_block
         t_sectors = self._t_sectors
@@ -283,6 +282,7 @@ class L2TextureCache:
         bit_set0 = (t_sectors[g] & bits) != 0
 
         # First occurrence of each gid / of each (gid, sub) pair in the chunk.
+        # A gid first at sorted index lo occurs at order[lo : group_end[group_of[lo]]].
         order = np.argsort(g, kind="stable")
         sg = g[order]
         boundary = np.empty(n, dtype=bool)
@@ -290,8 +290,7 @@ class L2TextureCache:
         np.not_equal(sg[1:], sg[:-1], out=boundary[1:])
         first_gid = np.zeros(n, dtype=bool)
         first_gid[order[boundary]] = True
-        group_start = np.flatnonzero(boundary)
-        group_end = np.append(group_start[1:], n)
+        group_end = np.append(np.flatnonzero(boundary)[1:], n)
         group_of = np.cumsum(boundary) - 1
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
@@ -305,77 +304,73 @@ class L2TextureCache:
         first_pair = np.zeros(n, dtype=bool)
         first_pair[pair_order[pair_boundary]] = True
 
-        # A nonresident entry always has zero sector bits, so the three
-        # classes partition exactly as the sequential loop would see them —
-        # as long as no mid-chunk eviction invalidates the snapshot for a
-        # later access (the truncation below guarantees that).
+        # A nonresident entry always has zero sector bits, so these classes
+        # partition exactly as the sequential loop sees them until an
+        # eviction hits a gid that recurs; the walk patches those in place.
         full_miss = first_gid & ~resident0
         partial = first_pair & ~bit_set0 & ~full_miss
 
-        miss_positions = np.flatnonzero(full_miss)
-        limit = n
+        # Per gid group, the position of its last eviction in this chunk:
+        # its sector updates before that position belong to a dead episode.
+        evicted_at = np.full(group_of[-1] + 1, -1)
         evictions = 0
-        evicted: list[int] = []
-        if miss_positions.size:
-            free = self._free
-            n_blocks = self.config.n_blocks
-            seg_start = 0
-            for p in miss_positions.tolist():
-                if p >= limit:
-                    break
-                if p > seg_start:
-                    policy.touch_many(blk[seg_start:p])
-                gid = int(g[p])
-                if free:
-                    b = free.pop()
-                elif self._next_unused < n_blocks:
-                    b = self._next_unused
-                    self._next_unused += 1
-                else:
-                    b = policy.victim()
-                    old = int(brl[b])
-                    if old >= 0:
-                        t_block[old] = -1
-                        t_sectors[old] = 0
-                        evictions += 1
-                        evicted.append(old)
-                        # If the evicted entry recurs later in this chunk,
-                        # the optimistic classification is stale from the
-                        # re-access on: truncate there and let the caller
-                        # reprocess the remainder against fresh state.
-                        lo = int(np.searchsorted(sg, old, side="left"))
-                        if lo < n and sg[lo] == old:
-                            occ = order[lo : group_end[group_of[lo]]]
-                            j = int(np.searchsorted(occ, p, side="right"))
-                            if j < len(occ) and occ[j] < limit:
-                                limit = int(occ[j])
-                brl[b] = gid
-                t_block[gid] = b
-                # Later accesses to this gid in the chunk hit block b. The
-                # miss is the gid's first occurrence, so its sorted group
-                # starts at this access.
-                occ = order[rank[p] + 1 : group_end[group_of[rank[p]]]]
-                if len(occ):
-                    blk[occ] = b
-                policy.touch(b)
-                seg_start = p + 1
-            if seg_start < limit:
-                policy.touch_many(blk[seg_start:limit])
-        else:
-            policy.touch_many(blk)
+        # A sorted list is a min-heap; evicted gids that recur push their
+        # next occurrence, so the walk visits every full miss in order.
+        walk = np.flatnonzero(full_miss).tolist()
+        free = self._free
+        n_blocks = self.config.n_blocks
+        seg_start = 0
+        while walk:
+            p = heapq.heappop(walk)
+            if p > seg_start:
+                policy.touch_many(blk[seg_start:p])
+            if free:
+                b = free.pop()
+            elif self._next_unused < n_blocks:
+                b = self._next_unused
+                self._next_unused += 1
+            else:
+                b = policy.victim()
+                old = int(brl[b])
+                if old >= 0:
+                    t_block[old] = -1
+                    t_sectors[old] = 0
+                    evictions += 1
+                    lo = int(np.searchsorted(sg, old))
+                    if lo < n and sg[lo] == old:
+                        grp = group_of[lo]
+                        evicted_at[grp] = p
+                        occ = order[lo : group_end[grp]]
+                        later = occ[np.searchsorted(occ, p) :]
+                        if len(later):
+                            # The next access re-allocates; each sub's
+                            # first access after it downloads again.
+                            q = int(later[0])
+                            heapq.heappush(walk, q)
+                            full_miss[q] = True
+                            _, first = np.unique(s[later], return_index=True)
+                            partial[later] = False
+                            partial[later[first[first > 0]]] = True
+            brl[b] = g[p]
+            t_block[g[p]] = b
+            # Later accesses to this gid in the chunk hit block b.
+            r = rank[p]
+            blk[order[r + 1 : group_end[group_of[r]]]] = b
+            policy.touch(b)
+            seg_start = p + 1
+        policy.touch_many(blk[seg_start:])
 
         # Sector updates commute with everything above except the eviction
-        # clears — and a cleared entry is never re-ORed within the processed
-        # prefix (truncation) — so OR once, then re-clear evicted entries.
-        upd = np.flatnonzero((partial | full_miss)[:limit])
+        # clears, so OR once, skipping updates from before a gid's last
+        # eviction: an evicted gid that never returns keeps zero bits.
+        upd = np.flatnonzero(partial | full_miss)
+        upd = upd[upd > evicted_at[group_of[rank[upd]]]]
         if len(upd):
             np.bitwise_or.at(t_sectors, g[upd], bits[upd])
-        if evicted:
-            t_sectors[np.asarray(evicted, dtype=np.int64)] = 0
 
-        fm = int(np.count_nonzero(full_miss[:limit]))
-        ph = int(np.count_nonzero(partial[:limit]))
-        return limit, limit - fm - ph, ph, fm, evictions
+        fm = int(np.count_nonzero(full_miss))
+        ph = int(np.count_nonzero(partial))
+        return n - fm - ph, ph, fm, evictions
 
     # ------------------------------------------------------------------
     def deallocate_texture(self, tid: int) -> int:

@@ -6,14 +6,13 @@ would pay a DRAM access for translation. A small on-chip TLB over
 ``<tid, L2>`` entries hides that latency. "Replacement for multi-entry
 TLB's was round robin" — LRU is also provided for comparison.
 
-Like the cache simulators, the TLB resolves a whole frame in numpy
-passes: LRU by materializing each recency-stack level with a grouped
-forward-fill (the construction the L1's stacked kernel generalizes per
-set; very large TLBs fall back to the Mattson stack-distance engine),
-round robin by scanning blocks of accesses against the entry table and
-dropping to a scalar loop only inside miss-bearing blocks. Both are
-bit-identical to a per-access loop, including the carried entry list and
-hand position; that loop lives in the test-only oracle (``tests/oracle/``).
+Like the cache simulators, the TLB resolves a whole frame at once: LRU by
+materializing each recency-stack level with a grouped forward-fill (the
+construction the L1's stacked kernel generalizes per set; very large TLBs
+fall back to the Mattson stack-distance engine), round robin by one loop
+over runs of equal consecutive gids. Both are bit-identical to a
+per-access loop, including the carried entry list and hand position; that
+loop lives in the test-only oracle (``tests/oracle/``).
 """
 
 from __future__ import annotations
@@ -23,6 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["TLBFrameResult", "TextureTableTLB"]
+
+#: Accesses per round-robin step: bounds the run mask and the list of Python
+#: ints to a few tens of KB however long the frame's miss stream is.
+RUN_BLOCK = 4096
 
 
 @dataclass
@@ -75,12 +78,23 @@ class TextureTableTLB:
         return {"entries": list(self._entries), "hand": int(self._hand)}
 
     def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot_state` tree; inverse of the snapshot."""
+        """Restore a :meth:`snapshot_state` tree; inverse of the snapshot.
+
+        Rejects states no run reaches: too many or duplicate entries, or a
+        hand off the slots or off zero before the table is full.
+        """
         entries = [int(g) for g in state["entries"]]
+        hand = int(state["hand"])
         if len(entries) > self.n_entries:
             raise ValueError("TLB checkpoint does not match the entry count")
+        if len(set(entries)) != len(entries):
+            raise ValueError("TLB checkpoint holds duplicate entries")
+        if not 0 <= hand < self.n_entries or (hand and len(entries) < self.n_entries):
+            raise ValueError(
+                f"TLB checkpoint hand {hand} is invalid for {len(entries)} entries"
+            )
         self._entries = entries
-        self._hand = int(state["hand"])
+        self._hand = hand
 
     def access_frame(self, gids: np.ndarray) -> TLBFrameResult:
         """Translate one frame's worth of page-table indices.
@@ -94,7 +108,7 @@ class TextureTableTLB:
             return TLBFrameResult(accesses=0, hits=0)
         if self.policy == "lru":
             return self._access_lru_batched(gids)
-        return self._access_round_robin_batched(gids)
+        return self._access_round_robin(gids)
 
     def _access_lru_batched(self, gids: np.ndarray) -> TLBFrameResult:
         """Whole-frame LRU by materializing the recency stack level by level.
@@ -172,50 +186,36 @@ class TextureTableTLB:
         self._entries = uniq[order[-cap:]].tolist()
         return TLBFrameResult(accesses=len(gids), hits=hits)
 
-    def _access_round_robin_batched(self, gids: np.ndarray) -> TLBFrameResult:
-        """Whole-frame round robin via block scans with a scalar fallback.
+    def _access_round_robin(self, gids: np.ndarray) -> TLBFrameResult:
+        """Whole-frame round robin, one step per run of equal gids.
 
-        Round robin only mutates on a miss, so a block of accesses can be
-        checked against the (unchanging) entry table in one ``isin`` pass;
-        an all-hit block costs a single vector op. A block containing a
-        miss is finished with the scalar loop from the first miss onward —
-        membership in a handful of entries is a cheap list probe, so the
-        scalar tail never costs more than a per-access loop. Block size
-        doubles through hit runs and halves after miss-bearing blocks, so
-        hit-heavy streams are resolved almost entirely vectorized while
-        miss-heavy streams degrade gracefully to per-access loop speed.
+        Round robin only mutates on a miss, and after any access its gid is
+        in the table, so only the first access of each run of equal
+        consecutive gids needs a lookup. Membership is tested in a set kept
+        in step with the slot list. The frame is walked in blocks of
+        :data:`RUN_BLOCK` accesses; a run split by a block edge costs one
+        extra lookup that hits.
         """
         cap = self.n_entries
         entries = self._entries
+        present = set(entries)
         hand = self._hand
-        hits = 0
-        n = len(gids)
-        pos = 0
-        block = 512
-        while pos < n:
-            seg = gids[pos : pos + block]
-            if entries:
-                # Membership against a handful of entries: one broadcast
-                # equality beats np.isin's sort-based path by an order of
-                # magnitude at these sizes.
-                table = np.asarray(entries, dtype=np.int64)
-                mask = (seg[:, None] == table).any(axis=1)
-                first = int(np.argmin(mask)) if not mask.all() else len(seg)
-            else:
-                first = 0
-            hits += first
-            if first < len(seg):
-                for gid in seg[first:].tolist():
-                    if gid in entries:
-                        hits += 1
-                    elif len(entries) >= cap:
-                        entries[hand] = gid
-                        hand = (hand + 1) % cap
-                    else:
-                        entries.append(gid)
-                block = max(64, block // 2)
-            else:
-                block = min(block * 2, 1 << 16)
-            pos += len(seg)
+        misses = 0
+        for start in range(0, len(gids), RUN_BLOCK):
+            seg = gids[start : start + RUN_BLOCK]
+            run_head = np.empty(len(seg), dtype=bool)
+            run_head[0] = True
+            np.not_equal(seg[1:], seg[:-1], out=run_head[1:])
+            for gid in seg[run_head].tolist():
+                if gid in present:
+                    continue
+                misses += 1
+                if len(entries) < cap:
+                    entries.append(gid)
+                else:
+                    present.discard(entries[hand])
+                    entries[hand] = gid
+                    hand = (hand + 1) % cap
+                present.add(gid)
         self._hand = hand
-        return TLBFrameResult(accesses=n, hits=hits)
+        return TLBFrameResult(accesses=len(gids), hits=len(gids) - misses)

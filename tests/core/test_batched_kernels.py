@@ -1,12 +1,16 @@
 """Differential tests: batched L2/TLB kernels vs the oracle's loops.
 
 The batched engines must be *bit-identical* to the per-access reference
-loops of the test oracle (:mod:`tests.oracle`) — per-frame full/partial/miss/eviction counts, hit counts, carried
-replacement-policy state, and end-of-run residency state — across random
-streams, every replacement policy, and chunk boundaries (including the
-truncate-and-reprocess path taken when an evicted entry recurs within a
-chunk).
+loops of the test oracle (:mod:`tests.oracle`) — per-frame
+full/partial/miss/eviction counts, hit counts, carried replacement-policy
+state, and end-of-run residency state — across random streams, every
+replacement policy, and chunk boundaries. That includes the L2's in-place
+patch for an evicted entry that recurs within a chunk (its next access
+becomes a full miss of a new residency episode), and round-robin TLB
+streams with long runs of one gid, checkpointed between frames.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from repro.core.hierarchy import HierarchyConfig, MultiLevelTextureCache
 from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig, L2TextureCache, SetAssociativeL2Cache
 from repro.core.policies import ClockPolicy, LRUPolicy
-from repro.core.tlb import TextureTableTLB
+from repro.core.tlb import RUN_BLOCK, TextureTableTLB
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace
 
@@ -110,14 +114,67 @@ class TestL2Differential:
                 baseline = got
             assert got == baseline
 
-    def test_eviction_reaccess_truncation(self):
+    def test_eviction_reaccess_patched_in_place(self):
         # A tiny cache under a cyclic stream forces an evicted gid to recur
-        # inside the same chunk — the truncate-and-reprocess path.
+        # inside the same chunk: the in-place re-allocation path.
         ref, bat = make_pair("clock", 2, 8, chunk_size=64)
         gids = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2] * 5)
         subs = np.zeros(len(gids), dtype=np.int64)
         assert ref.access_blocks(gids, subs) == bat.access_blocks(gids, subs)
         assert_l2_state_equal(ref, bat)
+
+    def test_reallocated_twice_in_one_chunk(self):
+        # gid 0 is evicted and re-allocated several times inside one chunk,
+        # with a different mix of subs per residency episode: sub 1 is used
+        # in every episode and downloaded afresh in each, sub 2 only in the
+        # first.
+        episodes = [[1, 2, 1, 2], [5, 1, 5], [1, 7, 7, 1], [3, 1]]
+        gids, subs = [], []
+        for i, ep in enumerate(episodes):
+            gids += [0] * len(ep) + [1, 2, 3]
+            subs += ep + [i, i + 1, i + 2]
+        gids = np.array(gids)
+        subs = np.array(subs)
+
+        # Premise, stepped through the oracle one access at a time: gid 0
+        # full-misses once per episode, so it is re-allocated >= 2 times.
+        probe, _ = make_pair("clock", 2, 8, chunk_size=1)
+        step_misses = np.array(
+            [
+                probe.access_blocks(gids[i : i + 1], subs[i : i + 1]).full_misses
+                for i in range(len(gids))
+            ]
+        )
+        assert step_misses[gids == 0].sum() >= 3
+
+        ref, bat = make_pair("clock", 2, 8, chunk_size=len(gids))
+        want = ref.access_blocks(gids, subs)
+        got = bat.access_blocks(gids, subs)
+        assert got == want
+        assert got.partial_hits > 0 and got.evictions > 0
+        np.testing.assert_array_equal(ref._t_sectors, bat._t_sectors)
+        assert ref.policy.search_lengths == bat.policy.search_lengths
+        assert_l2_state_equal(ref, bat)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 200, 1 << 13])
+    def test_each_access_classified_once(self, chunk_size, monkeypatch):
+        # A recurring victim is patched in place, never re-classified: the
+        # chunk kernel runs once per fixed stride of the stream.
+        _, bat = make_pair("clock", 2, 8, chunk_size=chunk_size)
+        calls = []
+        inner = bat._access_chunk
+
+        def counting(g, s):
+            calls.append(len(g))
+            return inner(g, s)
+
+        monkeypatch.setattr(bat, "_access_chunk", counting)
+        gids = np.array([0, 1, 2] * 67)
+        subs = np.arange(len(gids)) % 16
+        res = bat.access_blocks(gids, subs)
+        assert res.evictions > 0
+        assert len(calls) == math.ceil(len(gids) / chunk_size)
+        assert sum(calls) == len(gids)
 
     def test_deallocate_matches_reference(self):
         space = AddressSpace([Texture("a", 64, 64), Texture("b", 128, 128)])
@@ -176,6 +233,47 @@ class TestTLBDifferential:
             assert ref.access_frame(gids) == bat.access_frame(gids)
         assert ref._entries == bat._entries
         assert ref._hand == bat._hand
+
+    @given(
+        seed=st.integers(0, 10_000),
+        cap=st.integers(1, 16),
+        universe=st.integers(1, 40),
+        max_run=st.integers(1, 5000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_robin_long_runs_across_checkpoints(
+        self, seed, cap, universe, max_run
+    ):
+        # Runs of one gid (some longer than a round-robin block) and a
+        # snapshot/restore into a fresh TLB between frames.
+        rng = np.random.default_rng(seed)
+        ref = ReferenceTLB(cap, "round_robin")
+        bat = TextureTableTLB(cap, "round_robin")
+        for _ in range(int(rng.integers(1, 4))):
+            n_runs = int(rng.integers(0, 40))
+            gids = np.repeat(
+                rng.integers(0, universe, n_runs),
+                rng.integers(1, max_run + 1, n_runs),
+            )
+            assert ref.access_frame(gids) == bat.access_frame(gids)
+            assert ref.snapshot_state() == bat.snapshot_state()
+            state = bat.snapshot_state()
+            bat = TextureTableTLB(cap, "round_robin")
+            bat.restore_state(state)
+        assert ref._entries == bat._entries
+        assert ref._hand == bat._hand
+
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_round_robin_run_edges_on_block_edges(self, offset, cap):
+        # Runs that start exactly on, just before and just after the edges
+        # of the round-robin step blocks.
+        gids = np.repeat(np.array([1, 2, 3, 1, 4, 2, 2, 5]), RUN_BLOCK + offset)
+        ref = ReferenceTLB(cap, "round_robin")
+        bat = TextureTableTLB(cap, "round_robin")
+        assert ref.access_frame(gids) == bat.access_frame(gids)
+        assert ref.snapshot_state() == bat.snapshot_state()
 
 
 class TestHierarchyEndToEnd:

@@ -87,3 +87,47 @@ class TestResult:
         tlb = TextureTableTLB(1)
         res = tlb.access_frame(np.empty(0, dtype=np.int64))
         assert res.hit_rate == 0.0
+
+
+class TestRestoreState:
+    def test_round_trip(self):
+        tlb = TextureTableTLB(2)
+        tlb.access_frame(arr(1, 2, 3))
+        state = tlb.snapshot_state()
+        other = TextureTableTLB(2)
+        other.restore_state(state)
+        assert other.snapshot_state() == {"entries": [3, 2], "hand": 1}
+        assert other.access_frame(arr(2, 3, 1)).hits == 2
+
+    def test_too_many_entries_rejected(self):
+        with pytest.raises(ValueError, match="entry count"):
+            TextureTableTLB(2).restore_state({"entries": [1, 2, 3], "hand": 0})
+
+    @pytest.mark.parametrize("hand", [4, 5, -1])
+    def test_hand_outside_slots_rejected(self, hand):
+        # Accepting it would raise a raw IndexError at the next miss.
+        tlb = TextureTableTLB(4)
+        with pytest.raises(ValueError, match="hand"):
+            tlb.restore_state({"entries": [1, 2, 3, 4], "hand": hand})
+
+    def test_duplicate_entries_rejected(self):
+        tlb = TextureTableTLB(4)
+        with pytest.raises(ValueError, match="duplicate"):
+            tlb.restore_state({"entries": [1, 2, 1, 3], "hand": 0})
+
+    def test_hand_on_partial_table_rejected(self):
+        # A full 4-entry state restored into a 16-entry TLB: the hand only
+        # moves once every slot is taken, so this state is unreachable.
+        small = TextureTableTLB(4)
+        small.access_frame(arr(1, 2, 3, 4, 5))
+        state = small.snapshot_state()
+        assert state["hand"] == 1
+        with pytest.raises(ValueError, match="hand"):
+            TextureTableTLB(16).restore_state(state)
+
+    def test_rejected_state_leaves_tlb_unchanged(self):
+        tlb = TextureTableTLB(2)
+        tlb.access_frame(arr(1, 2))
+        with pytest.raises(ValueError):
+            tlb.restore_state({"entries": [7, 7], "hand": 0})
+        assert tlb.snapshot_state() == {"entries": [1, 2], "hand": 0}
