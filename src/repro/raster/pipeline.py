@@ -361,6 +361,9 @@ class Renderer:
                     lod + secondary_lod_shift(tex, sec),
                 )
             emitted.append((slot, sec_slot))
+        # Free the batch's xs/ys/z/tri_ids before the footprint grids are
+        # built; u/v/lod live on through the queued slices.
+        gbatch = None
 
         # Phase 4 — one footprint call per distinct texture binding, then
         # collapse each instance's slice of the grid in emission order.

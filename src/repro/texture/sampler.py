@@ -34,6 +34,11 @@ __all__ = [
     "sample_color",
 ]
 
+#: Texel -> 4x4-tile coordinate is a right shift by log2 of the tile edge.
+_TILE_SHIFT = L1_TILE_TEXELS.bit_length() - 1
+#: Bit offset of tile_y in a packed tile reference.
+_TY_SHIFT = int(pack_tile_refs(0, 0, 1, 0)).bit_length() - 1
+
 
 class FilterMode(enum.Enum):
     """Texture filtering mode (paper: point / bilinear / trilinear)."""
@@ -73,56 +78,50 @@ def _level_tiles(
     v: np.ndarray,
     levels: np.ndarray,
     bilinear: bool,
-) -> np.ndarray:
-    """Tile references for one footprint per fragment at given levels.
+    out: np.ndarray,
+) -> None:
+    """Write the tile references of one footprint per fragment into ``out``.
 
-    Returns an ``(N, k)`` int64 array with k = 1 (point) or 4 (bilinear),
-    columns in deterministic footprint order.
+    ``out`` is an ``(N, k)`` int64 view, k = 1 (point) or 4 (bilinear:
+    rows y0, y1 of columns x0, x1), filled in deterministic footprint order.
     """
-    n = len(u)
-    k = 4 if bilinear else 1
-    out = np.empty((n, k), dtype=np.int64)
-    if n == 0:
-        return out
-    # Gather per-fragment level dimensions from a (tiny) table instead of
-    # looping over unique levels with boolean masks: one pass over the
-    # fragments regardless of how many MIP levels the batch spans. A
-    # gathered dimension multiplies to the same IEEE bits as a scalar
-    # broadcast of that dimension, so results are unchanged.
+    if len(u) == 0:
+        return
+    # Per-level tables gathered per fragment: one pass over the fragments
+    # however many MIP levels the batch spans. A gathered dimension
+    # multiplies to the same IEEE bits as a scalar broadcast of it.
+    n_tab = int(levels.max()) + 1
     dims = np.array(
-        [
-            mip_level_dims(texture.width, texture.height, m)
-            for m in range(int(levels.max()) + 1)
-        ],
+        [mip_level_dims(texture.width, texture.height, m) for m in range(n_tab)],
         dtype=np.int64,
-    )
-    w = dims[levels, 0]
-    h = dims[levels, 1]
-    uu = u * w
-    vv = v * h
-    if bilinear:
-        x0 = np.floor(uu - 0.5).astype(np.int64)
-        y0 = np.floor(vv - 0.5).astype(np.int64)
-        xs = (np.mod(x0, w), np.mod(x0 + 1, w))
-        ys = (np.mod(y0, h), np.mod(y0 + 1, h))
-        col = 0
-        for yy in ys:
-            for xx in xs:
-                out[:, col] = pack_tile_refs(
-                    tid,
-                    levels,
-                    yy // L1_TILE_TEXELS,
-                    xx // L1_TILE_TEXELS,
-                    check=False,
-                )
-                col += 1
-    else:
-        x = np.mod(np.floor(uu).astype(np.int64), w)
-        y = np.mod(np.floor(vv).astype(np.int64), h)
-        out[:, 0] = pack_tile_refs(
-            tid, levels, y // L1_TILE_TEXELS, x // L1_TILE_TEXELS, check=False
-        )
-    return out
+    ).T
+    w = dims[0][levels]
+    h = dims[1][levels]
+    base = pack_tile_refs(tid, np.arange(n_tab), 0, 0, check=False)[levels]
+    if not bilinear:
+        x = np.mod(np.floor(u * w).astype(np.int64), w)
+        y = np.mod(np.floor(v * h).astype(np.int64), h)
+        y >>= _TILE_SHIFT
+        y <<= _TY_SHIFT
+        y |= base
+        x >>= _TILE_SHIFT
+        np.bitwise_or(y, x, out=out[:, 0])
+        return
+    # One wrap per axis: x0 + 1 wraps exactly when it reaches the width.
+    x0 = np.mod(np.floor(u * w - 0.5).astype(np.int64), w)
+    y0 = np.mod(np.floor(v * h - 0.5).astype(np.int64), h)
+    x1 = x0 + 1
+    x1 *= x1 != w
+    y1 = y0 + 1
+    y1 *= y1 != h
+    x0 >>= _TILE_SHIFT
+    x1 >>= _TILE_SHIFT
+    for col, yy in ((0, y0), (2, y1)):
+        yy >>= _TILE_SHIFT
+        yy <<= _TY_SHIFT
+        yy |= base
+        np.bitwise_or(yy, x0, out=out[:, col])
+        np.bitwise_or(yy, x1, out=out[:, col + 1])
 
 
 def footprint_tiles_grid(
@@ -143,20 +142,21 @@ def footprint_tiles_grid(
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     lod = np.asarray(lod, dtype=np.float64)
+    if not isinstance(mode, FilterMode):
+        raise ValueError(f"unknown filter mode {mode!r}")
     n_levels = texture.level_count
-    if mode is FilterMode.POINT:
-        levels = _nearest_level(lod, n_levels)
-        return _level_tiles(texture, tid, u, v, levels, bilinear=False)
-    if mode is FilterMode.BILINEAR:
-        levels = _nearest_level(lod, n_levels)
-        return _level_tiles(texture, tid, u, v, levels, bilinear=True)
+    out = np.empty((len(u), texel_reads_per_fragment(mode)), dtype=np.int64)
     if mode is FilterMode.TRILINEAR:
         m0 = np.clip(np.floor(lod), 0, n_levels - 1).astype(np.int64)
         m1 = np.minimum(m0 + 1, n_levels - 1)
-        lo = _level_tiles(texture, tid, u, v, m0, bilinear=True)
-        hi = _level_tiles(texture, tid, u, v, m1, bilinear=True)
-        return np.concatenate([lo, hi], axis=1)
-    raise ValueError(f"unknown filter mode {mode!r}")
+        _level_tiles(texture, tid, u, v, m0, True, out[:, :4])
+        _level_tiles(texture, tid, u, v, m1, True, out[:, 4:])
+    else:
+        levels = _nearest_level(lod, n_levels)
+        _level_tiles(
+            texture, tid, u, v, levels, mode is FilterMode.BILINEAR, out
+        )
+    return out
 
 
 def footprint_tiles(

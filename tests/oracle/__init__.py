@@ -12,6 +12,8 @@ benchmarks import them:
 * :class:`ReferenceTLB` — the page-table TLB with a per-access loop;
 * :func:`rasterize_triangle` / :class:`ReferenceRenderer` — the
   per-triangle rasterizer and the renderer built on it;
+* :func:`reference_footprint_tiles_grid` — texture footprints packed one
+  tap at a time, which that renderer samples with;
 * :func:`reference_hierarchy` — a hierarchy whose every level is an
   oracle.
 """
@@ -29,6 +31,7 @@ from tests.oracle.cache import (
     ReferenceSetAssociativeL2,
     ReferenceTLB,
 )
+from tests.oracle.footprint import reference_footprint_tiles_grid
 from tests.oracle.raster import ReferenceRenderer, rasterize_triangle
 
 __all__ = [
@@ -38,6 +41,7 @@ __all__ = [
     "ReferenceTLB",
     "ReferenceRenderer",
     "rasterize_triangle",
+    "reference_footprint_tiles_grid",
     "reference_hierarchy",
 ]
 

@@ -1,8 +1,10 @@
 """Per-triangle reference rasterizer and renderer.
 
 :func:`rasterize_triangle` walks one triangle's bounding box at a time;
-:class:`ReferenceRenderer` drives it triangle by triangle, sampling and
-collapsing footprints per instance. The batched rasterizer
+:class:`ReferenceRenderer` drives it triangle by triangle, sampling
+footprints per instance with the reference sampler
+(:func:`~tests.oracle.footprint.reference_footprint_tiles_grid`) and
+collapsing them. The batched rasterizer
 (:mod:`repro.raster.batch`) and the production
 :class:`~repro.raster.pipeline.Renderer` are proven bit-identical to them,
 fragments, traces and shaded images alike.
@@ -19,8 +21,10 @@ from repro.raster.framebuffer import Framebuffer
 from repro.raster.pipeline import FrameOutput, Renderer, _project_vertices, _select
 from repro.raster.rasterizer import TILE_EDGE, Fragments, RasterOrder
 from repro.raster.zbuffer import DepthBuffer
-from repro.texture.sampler import footprint_tiles_grid, secondary_lod_shift
+from repro.texture.sampler import secondary_lod_shift
 from repro.trace.events import collapse_runs
+
+from tests.oracle.footprint import reference_footprint_tiles_grid
 
 __all__ = ["rasterize_triangle", "ReferenceRenderer"]
 
@@ -231,7 +235,7 @@ class ReferenceRenderer(Renderer):
                         if len(frags) == 0:
                             continue
                     n_fragments += len(frags)
-                    grid = footprint_tiles_grid(
+                    grid = reference_footprint_tiles_grid(
                         tex, inst.texture_id, frags.u, frags.v, frags.lod,
                         opt.filter_mode,
                     )
@@ -241,7 +245,7 @@ class ReferenceRenderer(Renderer):
                         # footprint — exactly the access pattern that
                         # inflates the intra-frame working set (§4).
                         sec = self.manager.texture(inst.secondary_texture_id)
-                        sec_grid = footprint_tiles_grid(
+                        sec_grid = reference_footprint_tiles_grid(
                             sec,
                             inst.secondary_texture_id,
                             frags.u,

@@ -86,6 +86,56 @@ def triangle_batches(draw):
     return screen, inv_w, uv, z
 
 
+# Vertex coordinates that stress span ends: pixel centres (k + 0.5) and
+# pixel edges, plain floats, and off-screen magnitudes.
+adv_coord = st.one_of(
+    st.integers(-4, 52).map(lambda k: k + 0.5),
+    st.integers(-4, 52).map(float),
+    coord,
+    st.sampled_from([1e6, -1e6, 1e9, -1e9]),
+)
+
+
+@st.composite
+def adversarial_triangle(draw):
+    p = np.array([[draw(adv_coord), draw(adv_coord)] for _ in range(3)])
+    shape = draw(st.sampled_from(["free", "horizontal", "vertical", "both",
+                                  "sliver", "wide"]))
+    if shape in ("horizontal", "both"):
+        p[1, 1] = p[0, 1]  # an edge with b == 0
+    if shape in ("vertical", "both"):
+        p[2, 0] = p[1, 0]
+    if shape == "sliver":
+        # Third vertex a hair off the line through the first two, so
+        # |area2| is near zero (or exactly zero).
+        t = draw(st.floats(-1.0, 2.0))
+        eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+        p[2] = p[0] + t * (p[1] - p[0]) + np.array([eps, -eps])
+    if shape == "wide":
+        # Rows spanning the viewport: wider than small interpolation blocks.
+        y = draw(st.integers(0, H - 1)) + 0.5
+        p = np.array([[-10.0, y - draw(st.floats(0.1, 30.0))],
+                      [W + 10.0, y + draw(st.floats(0.1, 30.0))],
+                      [draw(adv_coord), draw(adv_coord)]])
+    return p
+
+
+@st.composite
+def adversarial_batches(draw):
+    n = draw(st.integers(1, 8))
+    screen = np.array([draw(adversarial_triangle()) for _ in range(n)])
+    inv_w = np.array(
+        [[draw(invw) for _ in range(3)] for _ in range(n)], dtype=np.float64
+    )
+    uv = np.array(
+        [[draw(uvc) for _ in range(6)] for _ in range(n)], dtype=np.float64
+    ).reshape(n, 3, 2)
+    z = np.array(
+        [[draw(zc) for _ in range(3)] for _ in range(n)], dtype=np.float64
+    )
+    return screen, inv_w, uv, z
+
+
 class TestKernelDifferential:
     @given(triangle_batches(), st.booleans(),
            st.sampled_from([RasterOrder.SCANLINE, RasterOrder.TILED]))
@@ -100,11 +150,31 @@ class TestKernelDifferential:
         ref = reference_batch(screen, inv_w, uv, z, double_sided, order)
         assert_batches_identical(got, ref)
 
+    @given(adversarial_batches(), st.booleans(),
+           st.sampled_from([RasterOrder.SCANLINE, RasterOrder.TILED]),
+           st.sampled_from([1, 3, 16, 100, None]))
+    @settings(max_examples=200, deadline=None)
+    def test_property_adversarial_spans_bit_identical(
+        self, batch_args, double_sided, order, block
+    ):
+        # Span ends where rounding is hardest: huge off-screen vertices,
+        # near-zero areas, edges through pixel centres, b == 0 edges, and
+        # rows wider than an interpolation block.
+        screen, inv_w, uv, z = batch_args
+        extra = {} if block is None else {"block_fragments": block}
+        got = rasterize_triangles(
+            screen_xy=screen, inv_w=inv_w, uv=uv, z_ndc=z,
+            width=W, height=H, tex_width=TEXW, tex_height=TEXH,
+            double_sided=double_sided, order=order, **extra,
+        )
+        ref = reference_batch(screen, inv_w, uv, z, double_sided, order)
+        assert_batches_identical(got, ref)
+
     @given(triangle_batches())
     @settings(max_examples=30, deadline=None)
     def test_property_block_budget_invariant(self, batch_args):
-        # Tiny candidate budgets force multi-block expansion; the result
-        # must not depend on the blocking.
+        # Tiny fragment budgets split rows across interpolation blocks;
+        # the result must not depend on the blocking.
         screen, inv_w, uv, z = batch_args
         full = rasterize_triangles(
             screen_xy=screen, inv_w=inv_w, uv=uv, z_ndc=z,
@@ -114,7 +184,7 @@ class TestKernelDifferential:
         small = rasterize_triangles(
             screen_xy=screen, inv_w=inv_w, uv=uv, z_ndc=z,
             width=W, height=H, tex_width=TEXW, tex_height=TEXH,
-            double_sided=True, block_candidates=7,
+            double_sided=True, block_fragments=7,
         )
         assert_batches_identical(small, None if len(full) == 0 else {
             "xs": full.xs, "ys": full.ys, "z": full.z, "u": full.u,
