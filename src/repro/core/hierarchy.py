@@ -6,6 +6,14 @@ Per frame: the collapsed tile-reference stream runs through L1; the L1 miss
 stream is translated to page-table indices (consulting the TLB) and runs
 through the L2; byte counts fall out of the transaction counts.
 
+The frame passes set index → L1 → L2 translation → TLB → L2 in
+consecutive blocks of :data:`FRAME_BLOCK` refs, and the per-block partials
+fold into the frame's stats (DESIGN §8.4). Every stage carries its state
+across calls and is invariant to how its stream is chunked, so blocking
+is exact; it keeps each per-ref temporary cache-sized at paper resolution.
+The fault link and VT still run once per frame, on whole-frame totals and
+refs; the multi-tenant path runs whole frames.
+
 Without an L2, the same machinery models the pull architecture: every L1
 miss is a 64-byte download over AGP.
 
@@ -63,6 +71,11 @@ __all__ = [
 #: One engine is left; the token stays so checkpoints written before the
 #: per-access loops moved into the test oracle still resume.
 ENGINE = "batched"
+
+#: Refs per block of :meth:`MultiLevelTextureCache.run_frame`: 512 KB per
+#: int64 temporary, so a block's temporaries stay in a per-core L2
+#: (DESIGN §8.4).
+FRAME_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -142,9 +155,10 @@ class FrameCacheStats:
     def merge(cls, parts) -> FrameCacheStats:
         """Sum several partial stats of one logical stream into one total.
 
-        Both engines use this to aggregate per-tenant (per-segment)
-        partials into whole-frame stats; the simulation is chunking-
-        invariant, so merged partials equal single-call stats exactly.
+        The hierarchy uses this to fold per-block (and per-tenant
+        segment) partials into whole-frame stats; the simulation is
+        chunking-invariant, so merged partials equal single-call stats
+        exactly.
         Every optional sub-result must be present in either all parts or
         none — merging heterogeneous stats would silently drop counts.
         Gauge-like fields (e.g. VT in-flight) are summed too, which is
@@ -609,22 +623,32 @@ class MultiLevelTextureCache:
             self.vt.restore_state(state["vt"])
 
     def run_frame(self, frame: FrameTrace) -> FrameCacheStats:
-        """Simulate one frame (Fig 7 steps A-F)."""
+        """Simulate one frame (Fig 7 steps A-F), in blocks of
+        :data:`FRAME_BLOCK` refs up to the L2 (see the module docstring)."""
         if self.tenancy is not None:
             return self._run_frame_tenants(frame)
-        sets = self.space.l1_set_indices(frame.refs, self.config.l1.n_sets)
-        l1_res = self.l1.access_frame(frame.refs, frame.weights, sets)
-        stats = FrameCacheStats(
-            texel_reads=l1_res.texel_reads,
-            l1_accesses=l1_res.accesses,
-            l1_misses=l1_res.misses,
-        )
-        if self.l2 is not None:
-            l2_tile = self.config.l2.l2_tile_texels
-            gids, subs = self.space.l2_addresses(l1_res.miss_refs, l2_tile)
-            if self.tlb is not None:
-                stats.tlb = self.tlb.access_frame(gids)
-            stats.l2 = self.l2.access_blocks(gids, subs)
+        n_sets = self.config.l1.n_sets
+        parts = []
+        # An empty frame still makes one (empty) pass.
+        for start in range(0, max(len(frame.refs), 1), FRAME_BLOCK):
+            refs = frame.refs[start : start + FRAME_BLOCK]
+            sets = self.space.l1_set_indices(refs, n_sets)
+            l1_res = self.l1.access_frame(
+                refs, frame.weights[start : start + FRAME_BLOCK], sets
+            )
+            part = FrameCacheStats(
+                texel_reads=l1_res.texel_reads,
+                l1_accesses=l1_res.accesses,
+                l1_misses=l1_res.misses,
+            )
+            if self.l2 is not None:
+                l2_tile = self.config.l2.l2_tile_texels
+                gids, subs = self.space.l2_addresses(l1_res.miss_refs, l2_tile)
+                if self.tlb is not None:
+                    part.tlb = self.tlb.access_frame(gids)
+                part.l2 = self.l2.access_blocks(gids, subs)
+            parts.append(part)
+        stats = FrameCacheStats.merge(parts)
         if self.link is not None:
             # Every host download this frame crosses the faulty AGP link:
             # with an L2 only partial hits + full misses, otherwise every

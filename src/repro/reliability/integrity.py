@@ -26,11 +26,15 @@ __all__ = ["array_checksum", "checksum_manifest", "ArrayCheck", "VerifyReport", 
 
 
 def array_checksum(arr: np.ndarray) -> int:
-    """CRC32 over an array's dtype, shape, and contents."""
+    """CRC32 over an array's dtype, shape, and contents.
+
+    The contents are CRC'd straight from the array's buffer (a byte view,
+    not a ``tobytes()`` copy); the value equals the CRC of ``tobytes()``.
+    """
     arr = np.ascontiguousarray(arr)
     crc = zlib.crc32(str(arr.dtype).encode("ascii"))
     crc = zlib.crc32(repr(arr.shape).encode("ascii"), crc)
-    return zlib.crc32(arr.tobytes(), crc)
+    return zlib.crc32(arr.reshape(-1).view(np.uint8), crc)
 
 
 def checksum_manifest(payload: dict[str, np.ndarray]) -> dict[str, int]:

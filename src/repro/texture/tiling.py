@@ -291,8 +291,10 @@ class AddressSpace:
                 running += tw * th
         self.total_l1_tiles = running
 
-        # Lazily-built per-L2-size translation tables.
+        # Lazily-built per-L2-size translation tables, and per-set-count
+        # ``(base, code)`` tables of the :meth:`l1_set_indices` fast path.
         self._l2_tables: dict[int, dict[str, np.ndarray]] = {}
+        self._l1_set_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._layouts: dict[tuple[int, int], TextureLayout] = {}
 
     # ------------------------------------------------------------------
@@ -428,11 +430,16 @@ class AddressSpace:
         dtype = set_index_dtype(n_sets)
         xbits = n_sets.bit_length() // 2
         ybits = (n_sets.bit_length() - 1) // 2
-        n_tex = max(self.texture_count, 1)
-        base = np.zeros((n_tex, 1 << _MIP_BITS), dtype=dtype)
-        base[:, :MAX_MIP_LEVELS] = self.l1_tile_base.reshape(n_tex, -1) & (n_sets - 1)
-        v = np.arange(n_sets, dtype=np.int64)
-        code = morton2(v & ((1 << xbits) - 1), v >> xbits).astype(dtype)
+        if n_sets not in self._l1_set_tables:
+            n_tex = max(self.texture_count, 1)
+            base = np.zeros((n_tex, 1 << _MIP_BITS), dtype=dtype)
+            base[:, :MAX_MIP_LEVELS] = (
+                self.l1_tile_base.reshape(n_tex, -1) & (n_sets - 1)
+            )
+            v = np.arange(n_sets, dtype=np.int64)
+            code = morton2(v & ((1 << xbits) - 1), v >> xbits).astype(dtype)
+            self._l1_set_tables[n_sets] = (base.ravel(), code)
+        base, code = self._l1_set_tables[n_sets]
         p = np.asarray(packed, dtype=np.int64)
         # Scratch index: first ``ty_low << xbits | tx_low``, then tid|mip.
         idx = p >> np.int64(_TY_SHIFT - xbits)
@@ -440,7 +447,7 @@ class AddressSpace:
         idx |= p & np.int64((1 << xbits) - 1)
         sets = code[idx]
         np.right_shift(p, np.int64(_MIP_SHIFT), out=idx)
-        sets += base.ravel()[idx]
+        sets += base[idx]
         sets &= dtype.type(n_sets - 1)
         return sets
 

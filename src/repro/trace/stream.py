@@ -463,10 +463,10 @@ class StreamingTrace:
         if self._fingerprint is None:
             crc = 0
             for frame in self.frames:
-                crc = zlib.crc32(np.ascontiguousarray(frame.refs).tobytes(), crc)
-                crc = zlib.crc32(
-                    np.ascontiguousarray(frame.weights).tobytes(), crc
-                )
+                for arr in (frame.refs, frame.weights):
+                    crc = zlib.crc32(
+                        np.ascontiguousarray(arr).reshape(-1).view(np.uint8), crc
+                    )
             self._fingerprint = crc
         return self._fingerprint
 

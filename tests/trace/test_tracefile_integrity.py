@@ -2,6 +2,7 @@
 corruption detection, and hypothesis round-trip properties."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -233,6 +234,44 @@ class TestChecksum:
         b = a.copy()
         b[3] ^= 1
         assert array_checksum(a) != array_checksum(b)
+
+    @pytest.mark.parametrize(
+        "arr, pinned",
+        [
+            (np.empty(0, dtype=np.int64), 2002980501),
+            (np.array(7, dtype=np.int64), 1554286931),
+            (np.arange(12, dtype=np.int64).reshape(3, 4), 2813815352),
+            (np.arange(24, dtype=np.int64).reshape(4, 6)[:, ::2], 1076401133),
+            (np.array([True, False, True]), 2520727681),
+            (np.linspace(0, 1, 5, dtype=np.float32), 2233040641),
+        ],
+        ids=["empty", "0-d", "2-d", "non-contiguous", "bool", "float32"],
+    )
+    def test_value_is_the_tobytes_formula(self, arr, pinned):
+        # The CRC reads the buffer in place, but every value stays that of
+        # the original ``tobytes()`` formula, so traces and checkpoints
+        # written before still verify.
+        c = np.ascontiguousarray(arr)
+        crc = zlib.crc32(str(c.dtype).encode("ascii"))
+        crc = zlib.crc32(repr(c.shape).encode("ascii"), crc)
+        assert array_checksum(arr) == zlib.crc32(c.tobytes(), crc) == pinned
+
+    def test_fingerprint_is_the_tobytes_formula(self):
+        trace = make_trace(n_frames=3)
+        strided = FrameTrace(
+            refs=np.arange(40, dtype=np.int64)[::2],
+            weights=np.ones(20, dtype=np.int64),
+            n_fragments=20,
+        )
+        trace = Trace(
+            meta=trace.meta, frames=[*trace.frames[:2], strided],
+            textures=trace.textures,
+        )
+        crc = 0
+        for frame in trace.frames:
+            crc = zlib.crc32(np.ascontiguousarray(frame.refs).tobytes(), crc)
+            crc = zlib.crc32(np.ascontiguousarray(frame.weights).tobytes(), crc)
+        assert trace.fingerprint() == crc
 
 
 # ----------------------------------------------------------------------
