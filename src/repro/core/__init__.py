@@ -46,7 +46,6 @@ from repro.core.architectures import (
     PushArchitecture,
     PushFrameStats,
 )
-from repro.core.appendix import AppendixL2Cache
 from repro.core.l1_prefetch import L1PairFetchSim
 from repro.core.push_manager import BudgetedPushArchitecture, BudgetedPushResult
 from repro.core.streaming import StreamingDriver, StreamingResult
@@ -90,7 +89,6 @@ __all__ = [
     "PushFrameStats",
     "BudgetedPushArchitecture",
     "BudgetedPushResult",
-    "AppendixL2Cache",
     "L1PairFetchSim",
     "StreamingDriver",
     "StreamingResult",

@@ -5,8 +5,8 @@ Every failure the reproduction treats as a first-class state derives from
 without swallowing programming errors. The taxonomy mirrors the three
 reliability layers:
 
-* trace persistence — :class:`TraceCorruptionError` (damaged archive) and
-  :class:`TraceFormatError` (well-formed but unsupported version);
+* trace persistence — :class:`TraceCorruptionError` (damaged trace) and
+  :class:`TraceFormatError` (not a trace directory, or unsupported version);
 * simulated AGP transfers — :class:`TransferError` (a block transfer
   exhausted its retry budget under a strict policy);
 * the experiment runner — :class:`ExperimentError` (one experiment failed;
@@ -61,13 +61,13 @@ class ReproError(Exception):
 
 
 class TraceCorruptionError(ReproError):
-    """A trace archive is damaged: unreadable, truncated, or checksum-bad.
+    """A stored trace is damaged: unreadable, truncated, or checksum-bad.
 
     Attributes:
-        path: the offending file.
+        path: the offending trace directory.
         detail: human-readable description of what failed.
-        missing_array: archive member that should exist but does not
-            (truncated writes), or None for byte-level corruption.
+        missing_array: stored array file that should exist but does not
+            (deleted or never written), or None for byte-level corruption.
     """
 
     def __init__(
@@ -79,11 +79,11 @@ class TraceCorruptionError(ReproError):
         self.path = os.fspath(path)
         self.detail = detail
         self.missing_array = missing_array
-        super().__init__(f"corrupt trace file {self.path}: {detail}")
+        super().__init__(f"corrupt trace {self.path}: {detail}")
 
 
 class TraceFormatError(ReproError, ValueError):
-    """A trace archive is intact but its format version is unsupported.
+    """A path is not a trace of a supported format or version.
 
     Subclasses ValueError for compatibility with callers that predate the
     taxonomy.

@@ -2,10 +2,10 @@
 
 Rendering is the expensive step; this module renders each (workload, scale,
 filter) combination once, memoizes it in process memory, and persists it to
-a disk cache (``.trace_cache/`` at the repository root, overridable with
-``$REPRO_TRACE_CACHE``; set it to ``off`` to disable). The cache key embeds
-a scene version constant — bump it when scene builders change so stale
-traces are never reused.
+a disk cache of ``<key>.stream`` trace directories (``.trace_cache/`` at
+the repository root, overridable with ``$REPRO_TRACE_CACHE``; set it to
+``off`` to disable). The cache key embeds a scene version constant — bump
+it when scene builders change so stale traces are never reused.
 """
 
 from __future__ import annotations
@@ -25,8 +25,12 @@ from repro.reliability.supervisor import SupervisorConfig, default_jobs
 from repro.scenes import WORKLOAD_BUILDERS
 from repro.texture.sampler import FilterMode
 from repro.trace.trace import Trace, TraceMeta
-from repro.trace.tracefile import load_trace, save_trace
-from repro.trace.stream import DEFAULT_CHUNK_REFS, StreamingTrace, StreamTraceWriter
+from repro.trace.stream import (
+    DEFAULT_CHUNK_REFS,
+    StreamingTrace,
+    StreamTraceWriter,
+    save_stream,
+)
 from repro.experiments.config import Scale
 
 __all__ = [
@@ -250,8 +254,8 @@ def quarantine_trace(path: Path) -> Path:
     """Move a damaged cache entry under ``<cache>/quarantine/`` for autopsy.
 
     Keeps the evidence (instead of deleting it) while guaranteeing the
-    poisoned file can never be read as a cache hit again. Returns the
-    quarantine destination.
+    poisoned trace directory can never be read as a cache hit again.
+    Returns the quarantine destination.
     """
     qdir = path.parent / "quarantine"
     qdir.mkdir(parents=True, exist_ok=True)
@@ -285,10 +289,11 @@ def get_trace(
     cache_dir = _cache_dir()
     path = None
     if cache_dir is not None:
-        path = cache_dir / f"{_cache_key(workload, scale, mode, z_first, tiled)}.npz"
+        key_name = _cache_key(workload, scale, mode, z_first, tiled)
+        path = cache_dir / f"{key_name}.stream"
         if path.exists():
             try:
-                trace = load_trace(path)
+                trace = StreamingTrace(path).materialize()
             except TraceCorruptionError as exc:
                 dest = quarantine_trace(path)
                 warnings.warn(
@@ -304,5 +309,5 @@ def get_trace(
     trace = render_trace(workload, scale, mode, z_first=z_first, tiled=tiled)
     _memory_cache[key] = trace
     if path is not None:
-        save_trace(trace, path)  # atomic: tmp file + os.replace
+        save_stream(trace, path)  # atomic: tmp dir + os.replace
     return trace

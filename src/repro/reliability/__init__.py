@@ -4,8 +4,8 @@ Three concerns, one package:
 
 * **Safe persistence** — :mod:`~repro.reliability.atomic` (tmp-file +
   ``os.replace`` writers) and :mod:`~repro.reliability.integrity`
-  (per-array CRC32 manifests and streaming archive verification) protect
-  the trace files the whole methodology replays.
+  (per-array CRC32s and verification reports) protect the traces the
+  whole methodology replays.
 * **Faulty transfers** — :mod:`~repro.reliability.faults` (seeded,
   deterministic drop/corrupt/latency-spike model per 64-byte block) and
   :mod:`~repro.reliability.transfer` (retry/backoff policy with
@@ -47,8 +47,6 @@ from repro.reliability.integrity import (
     ArrayCheck,
     VerifyReport,
     array_checksum,
-    checksum_manifest,
-    verify_npz,
 )
 from repro.reliability.runjournal import (
     ExperimentRecord,
@@ -85,10 +83,8 @@ __all__ = [
     "HeartbeatJournal",
     "default_heartbeat_path",
     "array_checksum",
-    "checksum_manifest",
     "ArrayCheck",
     "VerifyReport",
-    "verify_npz",
     "FaultModel",
     "SupervisorConfig",
     "TaskRunner",

@@ -1,13 +1,14 @@
-"""CLI: render a workload animation into a trace file.
+"""CLI: render a workload animation into a trace directory.
 
 Usage::
 
-    python -m repro.tools.render village out.npz --width 320 --height 240 \\
+    python -m repro.tools.render village out.stream --width 320 --height 240 \\
         --frames 32 --filter trilinear --detail 1.0
 
-With ``--stream`` the output is a chunked trace *directory* written frame
-by frame in bounded memory (the paper-scale path); pass it to
-``python -m repro.tools.simulate`` exactly like an .npz file.
+The output is a chunked trace *directory* (:mod:`repro.trace.stream`)
+written frame by frame in bounded memory, so paper-scale renders fit;
+pass it to ``python -m repro.tools.simulate`` or
+``python -m repro.tools.trace_info``.
 
 With ``--jobs N`` (default ``$REPRO_JOBS``, else 1) frame shards render
 across N supervised worker processes; the output is byte-identical to a
@@ -26,14 +27,12 @@ from repro.errors import ConfigError
 from repro.experiments.config import Scale
 from repro.experiments.traces import (
     clamp_render_jobs,
-    render_trace,
     render_trace_stream,
     resolve_render_jobs,
 )
 from repro.reliability.supervisor import parse_jobs
 from repro.scenes import WORKLOAD_BUILDERS
 from repro.texture.sampler import FilterMode
-from repro.trace.tracefile import save_trace
 
 __all__ = ["main"]
 
@@ -42,11 +41,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.render",
-        description="Render a workload animation into a trace file.",
+        description="Render a workload animation into a trace directory.",
     )
     parser.add_argument("workload", choices=sorted(WORKLOAD_BUILDERS))
-    parser.add_argument("output",
-                        help="output trace path (.npz, or a directory with --stream)")
+    parser.add_argument("output", help="output trace directory (.stream)")
     parser.add_argument("--width", type=int, default=320)
     parser.add_argument("--height", type=int, default=240)
     parser.add_argument("--frames", type=int, default=32)
@@ -61,9 +59,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="depth-test before texturing (SS6 variant)")
     parser.add_argument("--tiled", action="store_true",
                         help="tiled rasterization order")
-    parser.add_argument("--stream", action="store_true",
-                        help="write a chunked trace directory frame by frame "
-                             "(bounded memory; use for paper-scale renders)")
     par = parser.add_argument_group(
         "parallel rendering",
         "Frames are independent given the scene, so contiguous frame "
@@ -98,26 +93,15 @@ def main(argv: list[str] | None = None) -> int:
         name="cli",
     )
     start = time.time()
-    if args.stream:
-        trace = render_trace_stream(
-            args.workload,
-            scale,
-            FilterMode(args.filter_mode),
-            args.output,
-            z_first=args.z_first,
-            tiled=args.tiled,
-            workers=jobs,
-        )
-    else:
-        trace = render_trace(
-            args.workload,
-            scale,
-            FilterMode(args.filter_mode),
-            z_first=args.z_first,
-            tiled=args.tiled,
-            workers=jobs,
-        )
-        save_trace(trace, args.output)
+    trace = render_trace_stream(
+        args.workload,
+        scale,
+        FilterMode(args.filter_mode),
+        args.output,
+        z_first=args.z_first,
+        tiled=args.tiled,
+        workers=jobs,
+    )
     elapsed = time.time() - start
     reads = trace.total_texel_reads()
     print(

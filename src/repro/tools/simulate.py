@@ -2,20 +2,20 @@
 
 Usage::
 
-    python -m repro.tools.simulate trace.npz --l1-kb 2            # pull
-    python -m repro.tools.simulate trace.npz --l1-kb 2 --l2-kb 2048 \\
+    python -m repro.tools.simulate trace.stream --l1-kb 2            # pull
+    python -m repro.tools.simulate trace.stream --l1-kb 2 --l2-kb 2048 \\
         --l2-tile 16 --tlb 8 --policy clock                        # L2 arch
-    python -m repro.tools.simulate trace.npz --l1-kb 2 \\
+    python -m repro.tools.simulate trace.stream --l1-kb 2 \\
         --fault-rate 0.01 --max-retries 3                          # faulty AGP
-    python -m repro.tools.simulate trace.npz --l1-kb 2 --l2-kb 2048 \\
+    python -m repro.tools.simulate trace.stream --l1-kb 2 --l2-kb 2048 \\
         --analytic                                # stack-distance fast path
-    python -m repro.tools.simulate trace.npz --l1-kb 2 --l2-kb 2048 \\
+    python -m repro.tools.simulate trace.stream --l1-kb 2 --l2-kb 2048 \\
         --checkpoint run.ckpt --checkpoint-every 8         # crash-safe run
-    python -m repro.tools.simulate trace.npz --l1-kb 2 --l2-kb 2048 \\
+    python -m repro.tools.simulate trace.stream --l1-kb 2 --l2-kb 2048 \\
         --resume-from run.ckpt --checkpoint-every 8        # continue it
-    python -m repro.tools.simulate trace.npz --l1-kb 2 --vt \\
+    python -m repro.tools.simulate trace.stream --l1-kb 2 --vt \\
         --vt-pages 256 --vt-budget-us 2000 --vt-fault-rate 0.1   # paged VT
-    python -m repro.tools.simulate trace.npz --l1-kb 2 --l2-kb 2048 \\
+    python -m repro.tools.simulate trace.stream --l1-kb 2 --l2-kb 2048 \\
         --tenants 4 --tenant-policy utility --tenant-schedule bursty \\
         --tenant-weights 2,1,1,1                    # multi-tenant serving
 """
@@ -31,7 +31,7 @@ from repro.core.hierarchy import HierarchyConfig, MultiLevelTextureCache
 from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
 from repro.core.timing import TimingModel, bus_bound_fraction, estimate_frame_timings, mean_fps
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceFormatError
 from repro.experiments.reporting import format_table
 from repro.reliability import FaultModel, TransferPolicy
 from repro.tenancy import POLICIES as TENANT_POLICIES
@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Replay a trace through an L1(/L2/TLB) configuration.",
     )
     parser.add_argument("trace",
-                    help="trace file (.npz) or streamed trace directory")
+                    help="trace directory (.stream)")
     parser.add_argument("--l1-kb", type=float, default=2.0,
                         help="L1 cache size in KB (default 2)")
     parser.add_argument("--ways", type=int, default=2,
@@ -312,7 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.analytic and ckpt_path is not None:
         parser.error("--analytic runs have no simulator state to checkpoint")
 
-    trace = open_trace(args.trace)
+    try:
+        trace = open_trace(args.trace)
+    except TraceFormatError as exc:
+        parser.error(str(exc))
     if args.analytic:
         return _run_analytic(args, trace)
     fault_model = (

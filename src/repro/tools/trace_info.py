@@ -1,15 +1,15 @@
-"""CLI: summarize a trace file.
+"""CLI: summarize a trace directory.
 
 Usage::
 
-    python -m repro.tools.trace_info trace.npz [--l2-tile 16]
-    python -m repro.tools.trace_info trace.npz --verify   # integrity check
-    python -m repro.tools.trace_info trace.npz --json     # machine-readable
-    python -m repro.tools.trace_info mrc trace.npz \\
+    python -m repro.tools.trace_info trace.stream [--l2-tile 16]
+    python -m repro.tools.trace_info trace.stream --verify   # integrity check
+    python -m repro.tools.trace_info trace.stream --json     # machine-readable
+    python -m repro.tools.trace_info mrc trace.stream \\
         [--l1-sizes 2,4,8,16,32] [--ways 2] [--sample 1] [--json]
-    python -m repro.tools.trace_info tenants a.npz b.npz \\
+    python -m repro.tools.trace_info tenants a.stream b.stream \\
         [--schedule rr] [--seed 0] [--l2-tile 16] [--json]
-    python -m repro.tools.trace_info tenants trace.npz --tenants 4
+    python -m repro.tools.trace_info tenants trace.stream --tenants 4
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import numpy as np
 
 from repro.errors import TraceCorruptionError, TraceFormatError
 from repro.experiments.reporting import format_table, kb, mb
-from repro.reliability.integrity import verify_npz
 from repro.trace.locality import frame_reuse_distance_histogram
 from repro.trace.stats import workload_stats
-from repro.trace.tracefile import load_trace
+from repro.trace.stream import open_trace
 from repro.trace.workingset import (
     l2_memory_curve,
     per_frame_new_blocks,
@@ -36,10 +35,18 @@ from repro.trace.workingset import (
 __all__ = ["main"]
 
 
-def _verify(path: str) -> int:
-    """Streaming integrity check (``--verify``); returns the exit code."""
+def _open(parser: argparse.ArgumentParser, path: str):
+    """Open a trace for a subcommand; a non-trace path is a usage error."""
     try:
-        report = verify_npz(path)
+        return open_trace(path)
+    except TraceFormatError as exc:
+        parser.error(str(exc))
+
+
+def _verify(path: str) -> int:
+    """Chunk-by-chunk integrity check (``--verify``); returns the exit code."""
+    try:
+        report = open_trace(path).verify()
     except TraceCorruptionError as exc:
         print(f"trace: {path}")
         print(f"  CORRUPT: {exc.detail}")
@@ -72,7 +79,7 @@ def _mrc_main(argv: list[str]) -> int:
         prog="python -m repro.tools.trace_info mrc",
         description="Single-pass analytic L1 miss-ratio curve of a trace.",
     )
-    parser.add_argument("trace", help="trace file (.npz)")
+    parser.add_argument("trace", help="trace directory (.stream)")
     parser.add_argument("--l1-sizes", default="2,4,8,16,32",
                         help="comma-separated L1 sizes in KB "
                              "(default 2,4,8,16,32 - the Fig 9 sweep)")
@@ -97,7 +104,7 @@ def _mrc_main(argv: list[str]) -> int:
 
     from repro.analytic import l1_mrc_sweep
 
-    trace = load_trace(args.trace)
+    trace = _open(parser, args.trace)
     sweep = l1_mrc_sweep(trace, sizes, ways=args.ways, sample=args.sample)
     if args.json:
         payload = {
@@ -143,8 +150,8 @@ def _tenants_main(argv: list[str]) -> int:
                     "print each tenant's footprint and locality fingerprint.",
     )
     parser.add_argument("traces", nargs="+",
-                        help="per-tenant trace files (.npz); pass one file "
-                             "with --tenants N to clone it")
+                        help="per-tenant trace directories (.stream); pass "
+                             "one with --tenants N to clone it")
     parser.add_argument("--tenants", type=int, metavar="N", default=None,
                         help="clone a single trace into N tenant contexts")
     parser.add_argument("--schedule", default="rr",
@@ -170,13 +177,14 @@ def _tenants_main(argv: list[str]) -> int:
     paths = list(args.traces)
     if args.tenants is not None:
         if len(paths) != 1:
-            parser.error("--tenants clones a single trace; pass one file")
+            parser.error("--tenants clones a single trace; pass one directory")
         if args.tenants < 2:
             parser.error(f"--tenants must be >= 2, got {args.tenants}")
         paths = paths * args.tenants
     elif len(paths) < 2:
-        parser.error("need two or more trace files (or one with --tenants N)")
-    traces = [load_trace(p) for p in paths]
+        parser.error("need two or more traces (or one with --tenants N)")
+    opened = {p: _open(parser, p) for p in paths}
+    traces = [opened[p] for p in paths]
 
     merged, tid_bases = merge_traces(
         traces, schedule=args.schedule, seed=args.seed
@@ -302,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Summarize a rendered texture-access trace "
                     "(or 'mrc <trace>' for its analytic miss-ratio curve).",
     )
-    parser.add_argument("trace", help="trace file (.npz)")
+    parser.add_argument("trace", help="trace directory (.stream)")
     parser.add_argument("--l2-tile", type=int, default=16,
                         help="L2 block edge in texels (default 16)")
     parser.add_argument("--verify", action="store_true",
@@ -316,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.verify:
         return _verify(args.trace)
 
-    trace = load_trace(args.trace)
+    trace = _open(parser, args.trace)
     if args.json:
         print(json.dumps(_json_summary(trace, args.trace, args.l2_tile), indent=2))
         return 0

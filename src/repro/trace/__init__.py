@@ -9,7 +9,6 @@ statistics over them.
 
 from repro.trace.events import collapse_runs
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
-from repro.trace.tracefile import save_trace, load_trace
 from repro.trace.stream import (
     StreamTraceWriter,
     StreamingTrace,
@@ -37,8 +36,6 @@ __all__ = [
     "FrameTrace",
     "Trace",
     "TraceMeta",
-    "save_trace",
-    "load_trace",
     "StreamTraceWriter",
     "StreamingTrace",
     "save_stream",

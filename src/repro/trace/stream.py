@@ -1,9 +1,9 @@
-"""Chunked, out-of-core trace streaming.
+"""Chunked, out-of-core trace storage: the repository's one trace format.
 
-The npz archive (:mod:`repro.trace.tracefile`) materializes every frame to
-write and to read, so a paper-scale trace (1024x768, hundreds of frames)
-costs gigabytes of RAM at both ends. This module stores the same data as a
-*directory*:
+Rendering is the expensive step of the study, so each animation is traced
+once and its reference stream stored on disk; every experiment then
+replays it through many cache configurations. A trace is a *directory*
+(conventionally named ``*.stream``):
 
 * ``refs_00000.npy`` / ``weights_00000.npy`` … — the animation's collapsed
   reference stream, concatenated across frames and split into fixed-size
@@ -14,9 +14,8 @@ costs gigabytes of RAM at both ends. This module stores the same data as a
   (``n_frames + 1`` entries), plus ``n_fragments.npy`` and the flattened
   ``object_offsets`` index.
 * ``manifest.json`` — format version, :class:`~repro.trace.trace.TraceMeta`
-  fields, the texture set, and a CRC32 per file (the same
-  :func:`~repro.reliability.integrity.array_checksum` manifest as trace
-  format v3).
+  fields, the texture set, and a CRC32 per file
+  (:func:`~repro.reliability.integrity.array_checksum`).
 
 :class:`StreamTraceWriter` appends one :class:`FrameTrace` at a time and
 never holds more than one chunk of pending data, so
@@ -26,7 +25,7 @@ counterpart: it duck-types :class:`~repro.trace.trace.Trace` (``meta``,
 ``frames``, ``textures``, ``fingerprint`` …) but builds each frame on
 demand from the mmap'd chunks, verifying each chunk's CRC once on first
 touch. A corrupt chunk is moved into ``quarantine/`` and surfaces as
-:class:`~repro.errors.TraceCorruptionError`, mirroring the v3 posture.
+:class:`~repro.errors.TraceCorruptionError`.
 
 The directory is written atomically (tmp dir + ``os.replace``), so readers
 never observe a half-written trace.
@@ -48,7 +47,6 @@ from repro.reliability.integrity import ArrayCheck, VerifyReport, array_checksum
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
-from repro.trace.tracefile import load_trace
 
 __all__ = [
     "STREAM_VERSION",
@@ -67,6 +65,9 @@ STREAM_VERSION = 1
 DEFAULT_CHUNK_REFS = 1 << 20
 
 _MANIFEST = "manifest.json"
+_INDEX_FILES = (
+    "frame_starts", "n_fragments", "offsets_cat", "offset_bounds", "has_offsets"
+)
 
 
 def _chunk_name(kind: str, index: int) -> str:
@@ -263,7 +264,9 @@ class _ChunkCache:
         except (FileNotFoundError, OSError, ValueError, EOFError) as exc:
             self._trace._quarantine(name)
             raise TraceCorruptionError(
-                self._trace.path, f"chunk {name!r} unreadable: {exc}"
+                self._trace.path,
+                f"chunk {name!r} unreadable: {exc}",
+                missing_array=name if isinstance(exc, FileNotFoundError) else None,
             ) from exc
         if name not in self._verified:
             expected = self._trace.checksums.get(name)
@@ -395,7 +398,9 @@ class StreamingTrace:
             arr = np.load(self.path / fname)
         except (FileNotFoundError, OSError, ValueError, EOFError) as exc:
             raise TraceCorruptionError(
-                self.path, f"index {fname!r} unreadable: {exc}"
+                self.path,
+                f"index {fname!r} unreadable: {exc}",
+                missing_array=fname if isinstance(exc, FileNotFoundError) else None,
             ) from exc
         expected = self.checksums.get(fname)
         if expected is not None and array_checksum(arr) != expected:
@@ -477,49 +482,69 @@ class StreamingTrace:
         )
 
     def verify(self) -> VerifyReport:
-        """Checksum every chunk and index file without quarantining."""
+        """Checksum every chunk and index file without quarantining.
+
+        A damaged chunk is charged to every frame whose span of the global
+        stream overlaps it; a damaged index file to every frame.
+        """
         report = VerifyReport(
             path=str(self.path),
             version=STREAM_VERSION,
             n_frames=self.meta.n_frames,
         )
-        names = [
-            f"{n}.npy"
-            for n in (
-                "frame_starts",
-                "n_fragments",
-                "offsets_cat",
-                "offset_bounds",
-                "has_offsets",
-            )
+        checksums = self.manifest.get("checksums", {})
+        names = [(f"{n}.npy", None) for n in _INDEX_FILES] + [
+            (_chunk_name(kind, ci), ci)
+            for ci in range(self.n_chunks)
+            for kind in ("refs", "weights")
         ]
-        for ci in range(self.n_chunks):
-            names.append(_chunk_name("refs", ci))
-            names.append(_chunk_name("weights", ci))
-        for name in names:
+        all_frames = range(self.meta.n_frames)
+        for name, ci in names:
             try:
                 arr = np.load(self.path / name, mmap_mode="r")
-            except (FileNotFoundError, OSError, ValueError, EOFError):
-                report.checks.append(ArrayCheck(name, "missing"))
-                continue
-            expected = self.manifest.get("checksums", {}).get(name)
-            if expected is None:
-                report.checks.append(ArrayCheck(name, "unchecksummed"))
-            elif array_checksum(arr) != expected:
-                report.checks.append(ArrayCheck(name, "checksum-mismatch"))
+            except FileNotFoundError:
+                status = "missing"
+            except (OSError, ValueError, EOFError):
+                status = "unreadable"
             else:
-                report.checks.append(ArrayCheck(name, "ok"))
+                expected = checksums.get(name)
+                if expected is None:
+                    status = "unchecksummed"
+                elif array_checksum(arr) != expected:
+                    status = "checksum-mismatch"
+                else:
+                    status = "ok"
+                del arr  # release the mmap
+            check = ArrayCheck(name, status)
+            report.checks.append(check)
+            if check.ok:
+                continue
+            frames = all_frames if ci is None else self._frames_reading(ci)
+            for f in frames:
+                report.frame_problems.setdefault(int(f), status)
         return report
 
+    def _frames_reading(self, ci: int) -> np.ndarray:
+        """Frames whose (non-empty) span overlaps stream chunk ``ci``."""
+        lo = ci * self.chunk_refs
+        hi = min(lo + self.chunk_refs, self.stream_length)
+        starts, stops = self.frame_starts[:-1], self.frame_starts[1:]
+        return np.flatnonzero((starts < hi) & (stops > lo) & (stops > starts))
 
-def open_trace(path: str | os.PathLike, verify: bool = True):
-    """Open a trace of either format.
 
-    A directory opens as a :class:`StreamingTrace` (lazy, bounded memory);
-    a file loads through :func:`~repro.trace.tracefile.load_trace`
-    (materialized ``Trace``). Consumers treat both identically.
+def open_trace(path: str | os.PathLike, verify: bool = True) -> StreamingTrace:
+    """Open a trace directory as a :class:`StreamingTrace`.
+
+    A path that exists but is not a directory (such as a ``.npz`` archive
+    from the retired single-file format) raises
+    :class:`~repro.errors.TraceFormatError` and is left untouched; a
+    missing path raises :class:`FileNotFoundError`.
     """
     p = Path(path)
-    if p.is_dir():
-        return StreamingTrace(p, verify=verify)
-    return load_trace(p, verify=verify)
+    if p.exists() and not p.is_dir():
+        raise TraceFormatError(
+            f"{p} is not a trace directory; single-file (.npz) traces are "
+            "no longer read, so re-render it as a .stream directory with "
+            "python -m repro.tools.render"
+        )
+    return StreamingTrace(p, verify=verify)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.appendix import AppendixL2Cache
+from tests.oracle.appendix import AppendixL2Cache
 from repro.core.l2_cache import L2CacheConfig, L2TextureCache
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs

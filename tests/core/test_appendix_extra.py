@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.appendix import AppendixL2Cache
+from tests.oracle.appendix import AppendixL2Cache
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace
 

@@ -20,7 +20,7 @@ MICRO = Scale(width=64, height=48, frames=2, detail=0.2, name="micro")
 def cache_path(isolated_trace_cache):
     return (
         isolated_trace_cache
-        / f"{_cache_key('city', MICRO, FilterMode.POINT, False, False)}.npz"
+        / f"{_cache_key('city', MICRO, FilterMode.POINT, False, False)}.stream"
     )
 
 
@@ -31,10 +31,11 @@ class TestQuarantine:
         path = cache_path(isolated_trace_cache)
         assert path.exists()
 
-        # Bit-flip the cached archive, then force a cold read.
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
+        # Bit-flip a cached chunk, then force a cold read.
+        chunk = path / "refs_00000.npy"
+        raw = bytearray(chunk.read_bytes())
+        raw[-1] ^= 0xFF
+        chunk.write_bytes(bytes(raw))
         clear_memory_cache()
 
         with pytest.warns(CorruptTraceWarning, match="quarantined"):
@@ -43,7 +44,7 @@ class TestQuarantine:
         # The run still succeeds, with an identical re-render...
         for fa, fb in zip(original.frames, recovered.frames):
             assert np.array_equal(fa.refs, fb.refs)
-        # ...the poisoned file moved to quarantine...
+        # ...the poisoned entry moved to quarantine...
         qnames = [p.name for p in (isolated_trace_cache / "quarantine").iterdir()]
         assert path.name in qnames
         # ...and the cache slot was rewritten with a good copy.
@@ -55,20 +56,22 @@ class TestQuarantine:
         clear_memory_cache()
         get_trace("city", MICRO, FilterMode.POINT)
         path = cache_path(isolated_trace_cache)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 3])
+        chunk = path / "weights_00000.npy"
+        raw = chunk.read_bytes()
+        chunk.write_bytes(raw[: len(raw) // 3])
         clear_memory_cache()
         with pytest.warns(CorruptTraceWarning):
             trace = get_trace("city", MICRO, FilterMode.POINT)
         assert trace.meta.n_frames == MICRO.frames
 
     def test_quarantine_names_do_not_collide(self, tmp_path):
-        a = tmp_path / "x.npz"
-        a.write_bytes(b"bad-1")
-        first = quarantine_trace(a)
-        b = tmp_path / "x.npz"
-        b.write_bytes(b"bad-2")
-        second = quarantine_trace(b)
+        entry = tmp_path / "x.stream"
+        entry.mkdir()
+        (entry / "manifest.json").write_bytes(b"bad-1")
+        first = quarantine_trace(entry)
+        entry.mkdir()
+        (entry / "manifest.json").write_bytes(b"bad-2")
+        second = quarantine_trace(entry)
         assert first != second
-        assert first.read_bytes() == b"bad-1"
-        assert second.read_bytes() == b"bad-2"
+        assert (first / "manifest.json").read_bytes() == b"bad-1"
+        assert (second / "manifest.json").read_bytes() == b"bad-2"

@@ -5,8 +5,14 @@ import pytest
 
 from repro.experiments.config import Scale
 from repro.experiments.simcache import clear_simulation_cache, run_hierarchy
-from repro.experiments.traces import clear_memory_cache, get_trace, render_trace
+from repro.experiments.traces import (
+    _cache_key,
+    clear_memory_cache,
+    get_trace,
+    render_trace,
+)
 from repro.texture.sampler import FilterMode
+from repro.trace.stream import StreamingTrace
 
 MICRO = Scale(width=64, height=48, frames=2, detail=0.2, name="micro")
 
@@ -44,11 +50,14 @@ class TestGetTraceCaching:
 
     def test_disk_cache_roundtrip(self, isolated_trace_cache):
         get_trace("city", MICRO, FilterMode.POINT)
-        files = list(isolated_trace_cache.glob("*.npz"))
-        assert files  # persisted
+        entry = isolated_trace_cache / (
+            _cache_key("city", MICRO, FilterMode.POINT, False, False) + ".stream"
+        )
+        assert (entry / "manifest.json").exists()  # persisted as a stream
         clear_memory_cache()
         reloaded = get_trace("city", MICRO, FilterMode.POINT)
         assert reloaded.meta.workload == "city"
+        assert reloaded.fingerprint() == StreamingTrace(entry).fingerprint()
 
     def test_variants_cached_separately(self):
         a = get_trace("city", MICRO, FilterMode.POINT)

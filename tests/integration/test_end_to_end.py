@@ -18,7 +18,7 @@ from repro.experiments.config import Scale
 from repro.experiments.traces import render_trace
 from repro.texture.sampler import FilterMode
 from repro.trace.stats import workload_stats
-from repro.trace.tracefile import load_trace, save_trace
+from repro.trace.stream import StreamingTrace, save_stream
 from repro.trace.workingset import l2_memory_curve, push_memory_curve
 
 MICRO = Scale(width=96, height=72, frames=4, detail=0.25, name="micro")
@@ -35,9 +35,9 @@ class TestPipelineContracts:
             assert frame.texel_reads == frame.n_fragments * 4  # bilinear
 
     def test_persisted_trace_simulates_identically(self, village_trace, tmp_path):
-        path = tmp_path / "v.npz"
-        save_trace(village_trace, path)
-        reloaded = load_trace(path)
+        path = tmp_path / "v.stream"
+        save_stream(village_trace, path)
+        reloaded = StreamingTrace(path)
         l1 = L1CacheConfig(size_bytes=2048)
         a = PullArchitecture(l1).run(village_trace)
         b = PullArchitecture(l1).run(reloaded)

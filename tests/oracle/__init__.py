@@ -15,7 +15,10 @@ benchmarks import them:
 * :func:`reference_footprint_tiles_grid` — texture footprints packed one
   tap at a time, which that renderer samples with;
 * :func:`reference_hierarchy` — a hierarchy whose every level is an
-  oracle.
+  oracle;
+* :class:`tests.oracle.appendix.AppendixL2Cache` — the paper's Appendix
+  L2 pseudo-code transcribed line by line, which the production L2 is
+  differentially tested against.
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ class TestResolveRenderJobs:
         out = tmp_path / "out.stream"
         assert render_tool.main(
             ["city", str(out), "--width", "32", "--height", "24", "--frames", "2",
-             "--detail", "0.2", "--stream", "--jobs", "4"]
+             "--detail", "0.2", "--jobs", "4"]
         ) == 0
         assert calls == [1]
         assert "(1 job(s))" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from repro.tools.trace_info import main as trace_info_main
 
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("tenancy_cli") / "city.npz"
+    path = tmp_path_factory.mktemp("tenancy_cli") / "city.stream"
     rc = render_main(
         [
             "city", str(path),
@@ -27,7 +27,7 @@ def trace_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def second_trace(tmp_path_factory):
-    path = tmp_path_factory.mktemp("tenancy_cli") / "village.npz"
+    path = tmp_path_factory.mktemp("tenancy_cli") / "village.stream"
     rc = render_main(
         [
             "village", str(path),

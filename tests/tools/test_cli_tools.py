@@ -5,12 +5,12 @@ import pytest
 from repro.tools.render import main as render_main
 from repro.tools.simulate import main as simulate_main
 from repro.tools.trace_info import main as trace_info_main
-from repro.trace.tracefile import load_trace
+from repro.trace.stream import open_trace
 
 
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "t.npz"
+    path = tmp_path_factory.mktemp("cli") / "t.stream"
     rc = render_main(
         [
             "city", str(path),
@@ -24,13 +24,13 @@ def trace_file(tmp_path_factory):
 
 class TestRender:
     def test_writes_valid_trace(self, trace_file):
-        trace = load_trace(trace_file)
+        trace = open_trace(trace_file)
         assert trace.meta.workload == "city"
         assert trace.meta.n_frames == 3
         assert trace.meta.filter_mode == "bilinear"
 
     def test_variant_flags(self, tmp_path):
-        path = tmp_path / "z.npz"
+        path = tmp_path / "z.stream"
         rc = render_main(
             [
                 "city", str(path),
@@ -39,27 +39,30 @@ class TestRender:
             ]
         )
         assert rc == 0
-        trace = load_trace(path)
+        trace = open_trace(path)
         assert trace.meta.workload == "city+zfirst+tiled"
 
     def test_unknown_workload_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            render_main(["metropolis", str(tmp_path / "x.npz")])
+            render_main(["metropolis", str(tmp_path / "x.stream")])
 
 
 class TestRenderJobs:
     ARGS = ["--width", "64", "--height", "48", "--frames", "3", "--detail", "0.2"]
 
     def test_jobs_renders_identical_trace(self, tmp_path):
-        serial, parallel = tmp_path / "s.npz", tmp_path / "p.npz"
+        serial, parallel = tmp_path / "s.stream", tmp_path / "p.stream"
         assert render_main(["city", str(serial), *self.ARGS, "--jobs", "1"]) == 0
         assert render_main(["city", str(parallel), *self.ARGS, "--jobs", "2"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in parallel.iterdir())
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
     def test_jobs_stream_output(self, tmp_path):
         out = tmp_path / "p.stream"
         rc = render_main(
-            ["city", str(out), *self.ARGS, "--stream", "--jobs", "2"]
+            ["city", str(out), *self.ARGS, "--jobs", "2"]
         )
         assert rc == 0
         assert (out / "manifest.json").exists()
@@ -67,7 +70,7 @@ class TestRenderJobs:
     @pytest.mark.parametrize("bad", ["junk", "0", "-2", "1.5"])
     def test_bad_jobs_rejected_with_typed_message(self, bad, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            render_main(["city", str(tmp_path / "x.npz"), *self.ARGS,
+            render_main(["city", str(tmp_path / "x.stream"), *self.ARGS,
                          "--jobs", bad])
         err = capsys.readouterr().err
         assert "--jobs" in err
@@ -75,12 +78,12 @@ class TestRenderJobs:
     def test_bad_repro_jobs_env_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "junk")
         with pytest.raises(SystemExit):
-            render_main(["city", str(tmp_path / "x.npz"), *self.ARGS])
+            render_main(["city", str(tmp_path / "x.stream"), *self.ARGS])
         assert "REPRO_JOBS" in capsys.readouterr().err
 
     def test_env_default_used_when_flag_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
-        out = tmp_path / "env.npz"
+        out = tmp_path / "env.stream"
         assert render_main(["city", str(out), *self.ARGS]) == 0
         assert out.exists()
 

@@ -19,7 +19,6 @@ from repro.trace.stream import (
     save_stream,
 )
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
-from repro.trace.tracefile import save_trace
 
 
 def make_trace(n_frames=4, seed=0, with_offsets=True, frame_len=300):
@@ -165,6 +164,37 @@ class TestCorruption:
         assert (path / "quarantine" / "refs_00000.npy").exists()
         assert not (path / "refs_00000.npy").exists()
 
+    @staticmethod
+    def truncate(path, name):
+        victim = path / name
+        raw = victim.read_bytes()
+        victim.write_bytes(raw[: len(raw) // 2])
+
+    @staticmethod
+    def delete(path, name):
+        (path / name).unlink()
+
+    @staticmethod
+    def swap(path, name):
+        # Two same-shape chunks trade contents: each file is a valid
+        # ``.npy``, only the manifest checksums can tell.
+        other = path / "refs_00002.npy"
+        a, b = (path / name).read_bytes(), other.read_bytes()
+        (path / name).write_bytes(b)
+        other.write_bytes(a)
+
+    @pytest.mark.parametrize("damage", ["truncate", "delete", "swap"])
+    def test_damaged_chunk_raises_naming_it(self, tmp_path, damage):
+        trace = make_trace()
+        path = tmp_path / "t.stream"
+        save_stream(trace, path, chunk_refs=100)
+        st = StreamingTrace(path)
+        assert st.n_chunks > 3
+        assert np.load(path / "refs_00001.npy").shape == (100,)
+        getattr(self, damage)(path, "refs_00001.npy")
+        with pytest.raises(TraceCorruptionError, match="refs_00001.npy"):
+            st.materialize()
+
     def test_verify_reports_bad_chunk(self, tmp_path):
         trace = make_trace()
         path = tmp_path / "t.stream"
@@ -211,15 +241,18 @@ class TestCorruption:
 class TestOpenTrace:
     def test_dispatch_by_path_kind(self, tmp_path):
         trace = make_trace()
-        npz = tmp_path / "t.npz"
         stream = tmp_path / "t.stream"
-        save_trace(trace, npz)
         save_stream(trace, stream)
-        a = open_trace(npz)
-        b = open_trace(stream)
-        assert isinstance(a, Trace)
-        assert isinstance(b, StreamingTrace)
-        assert a.fingerprint() == b.fingerprint() == trace.fingerprint()
+        opened = open_trace(stream)
+        assert isinstance(opened, StreamingTrace)
+        assert opened.fingerprint() == trace.fingerprint()
+        # A file is never a trace: old single-file archives are refused.
+        npz = tmp_path / "t.npz"
+        npz.write_bytes(b"PK\x03\x04")
+        with pytest.raises(TraceFormatError, match="not a trace directory"):
+            open_trace(npz)
+        with pytest.raises(FileNotFoundError):
+            open_trace(tmp_path / "absent.stream")
 
 
 class TestConsumers:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.texture.texture import Texture
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
-from repro.trace.tracefile import load_trace, save_trace
+from repro.trace.stream import StreamingTrace, save_stream
 
 
 def make_trace(n_frames=3):
@@ -56,9 +56,9 @@ class TestTrace:
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         t = make_trace()
-        path = tmp_path / "t.npz"
-        save_trace(t, path)
-        loaded = load_trace(path)
+        path = tmp_path / "t.stream"
+        save_stream(t, path)
+        loaded = StreamingTrace(path).materialize()
         assert loaded.meta == t.meta
         assert len(loaded.frames) == len(t.frames)
         for a, b in zip(loaded.frames, t.frames):
@@ -70,32 +70,32 @@ class TestPersistence:
 
     def test_texture_geometry_survives(self, tmp_path):
         t = make_trace()
-        path = tmp_path / "t.npz"
-        save_trace(t, path)
-        loaded = load_trace(path)
+        path = tmp_path / "t.stream"
+        save_stream(t, path)
+        loaded = StreamingTrace(path)
         assert loaded.textures[0].level_count == t.textures[0].level_count
         assert loaded.textures[0].host_bytes == t.textures[0].host_bytes
 
     def test_version_check(self, tmp_path):
-        import repro.trace.tracefile as tf
+        import repro.trace.stream as stream
 
         t = make_trace()
-        path = tmp_path / "t.npz"
-        old = tf._FORMAT_VERSION
+        path = tmp_path / "t.stream"
+        old = stream.STREAM_VERSION
         try:
-            tf._FORMAT_VERSION = old + 1
-            save_trace(t, path)
+            stream.STREAM_VERSION = old + 1
+            save_stream(t, path)
         finally:
-            tf._FORMAT_VERSION = old
+            stream.STREAM_VERSION = old
         with pytest.raises(ValueError):
-            load_trace(path)
+            StreamingTrace(path)
 
     def test_empty_frames_roundtrip(self, tmp_path):
         textures = [Texture("a", 16, 16)]
         frames = [FrameTrace(np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64), 0)]
         t = Trace(TraceMeta("x", 8, 8, "point", 1), frames, textures)
-        path = tmp_path / "e.npz"
-        save_trace(t, path)
-        loaded = load_trace(path)
+        path = tmp_path / "e.stream"
+        save_stream(t, path)
+        loaded = StreamingTrace(path)
         assert loaded.frames[0].texel_reads == 0

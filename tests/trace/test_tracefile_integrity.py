@@ -1,4 +1,5 @@
-"""Integrity tests for trace persistence: v3 checksums, v2 rejection,
+"""Integrity tests for trace persistence: the checksummed (v3) manifest of
+the ``.stream`` trace directory, refusal of retired single-file archives,
 corruption detection, and hypothesis round-trip properties."""
 
 import json
@@ -9,10 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TraceCorruptionError, TraceFormatError
-from repro.reliability.integrity import array_checksum, verify_npz
+from repro.reliability.integrity import array_checksum
 from repro.texture.texture import Texture
+from repro.trace.stream import (
+    DEFAULT_CHUNK_REFS,
+    STREAM_VERSION,
+    StreamingTrace,
+    open_trace,
+    save_stream,
+)
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
-from repro.trace.tracefile import load_trace, read_meta, save_trace
 
 
 def make_trace(n_frames=3, with_offsets=False, seed=0):
@@ -36,7 +43,7 @@ def make_trace(n_frames=3, with_offsets=False, seed=0):
 
 
 def save_v2(trace, path):
-    """Write the legacy v2 layout (no checksums, in-place write)."""
+    """Write a retired single-file ``.npz`` archive (the v2 layout)."""
     payload = {}
     meta = {
         "version": 2,
@@ -78,151 +85,150 @@ def assert_traces_equal(a, b):
     assert [t.name for t in a.textures] == [t.name for t in b.textures]
 
 
+def load(path, **kw):
+    return open_trace(path, **kw).materialize()
+
+
+def flip_byte(path, offset):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
 class TestV3Format:
     def test_manifest_has_checksums(self, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(make_trace(), path)
-        meta = read_meta(path)
-        assert meta["version"] == 3
-        assert "refs_0" in meta["checksums"]
-        assert "n_fragments" in meta["checksums"]
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(), path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["version"] == STREAM_VERSION
+        assert "refs_00000.npy" in manifest["checksums"]
+        assert "n_fragments.npy" in manifest["checksums"]
 
     def test_roundtrip_with_offsets(self, tmp_path):
         t = make_trace(with_offsets=True)
-        path = tmp_path / "t.npz"
-        save_trace(t, path)
-        assert_traces_equal(t, load_trace(path))
+        path = tmp_path / "t.stream"
+        save_stream(t, path)
+        assert_traces_equal(t, load(path))
 
     def test_save_is_atomic_no_leftovers(self, tmp_path):
-        save_trace(make_trace(), tmp_path / "t.npz")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.npz"]
+        save_stream(make_trace(), tmp_path / "t.stream")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.stream"]
 
     def test_legacy_v2_rejected(self, tmp_path):
         path = tmp_path / "v2.npz"
         save_v2(make_trace(), path)
-        with pytest.raises(TraceFormatError, match="version 2"):
-            load_trace(path)
-        with pytest.raises(TraceFormatError):
-            read_meta(path)
+        raw = path.read_bytes()
+        with pytest.raises(TraceFormatError, match="re-render it as a .stream"):
+            open_trace(path)
+        # Refused, not treated as damage: nothing is moved or rewritten.
+        assert path.read_bytes() == raw
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v2.npz"]
 
     def test_unsupported_version_rejected_as_valueerror(self, tmp_path):
-        import repro.trace.tracefile as tf
-
-        path = tmp_path / "t.npz"
-        old = tf._FORMAT_VERSION
-        try:
-            tf._FORMAT_VERSION = 99
-            save_trace(make_trace(), path)
-        finally:
-            tf._FORMAT_VERSION = old
-        with pytest.raises(TraceFormatError):
-            load_trace(path)
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(), path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["version"] = 99
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(TraceFormatError, match="version 99"):
+            open_trace(path)
         with pytest.raises(ValueError):  # taxonomy keeps the legacy contract
-            load_trace(path)
+            open_trace(path)
 
 
 class TestCorruptionDetection:
     def test_truncated_file(self, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(make_trace(), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: int(len(raw) * 0.6)])
-        with pytest.raises(TraceCorruptionError):
-            load_trace(path)
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(), path)
+        manifest = path / "manifest.json"
+        raw = manifest.read_bytes()
+        manifest.write_bytes(raw[: int(len(raw) * 0.6)])
+        with pytest.raises(TraceCorruptionError, match="manifest"):
+            open_trace(path)
 
     def test_missing_frame_array_named(self, tmp_path):
-        t = make_trace(n_frames=2)
-        path = tmp_path / "t.npz"
-        save_trace(t, path)
-        # Rewrite the archive without refs_1 (a half-written cache entry).
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files if k != "refs_1"}
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(n_frames=2), path)
+        (path / "n_fragments.npy").unlink()
         with pytest.raises(TraceCorruptionError) as excinfo:
-            load_trace(path)
-        assert excinfo.value.missing_array == "refs_1"
-        assert "refs_1" in str(excinfo.value)
+            open_trace(path)
+        assert excinfo.value.missing_array == "n_fragments.npy"
+        assert "n_fragments.npy" in str(excinfo.value)
         assert str(path) in str(excinfo.value)
 
     def test_bit_flip_in_archive(self, tmp_path):
-        import struct
-        import zipfile
-
-        path = tmp_path / "t.npz"
-        save_trace(make_trace(), path)
-        # Flip a byte inside refs_0's compressed payload, where the zip
-        # layer's member CRC catches it. The name/extra lengths must come
-        # from the local header — it can carry a zip64 extra field the
-        # central directory entry omits.
-        with zipfile.ZipFile(path) as zf:
-            header_offset = zf.getinfo("refs_0.npy").header_offset
-        raw = bytearray(path.read_bytes())
-        name_len, extra_len = struct.unpack_from("<HH", raw, header_offset + 26)
-        raw[header_offset + 30 + name_len + extra_len + 4] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(TraceCorruptionError):
-            load_trace(path)
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(), path, chunk_refs=8)
+        chunk = path / "weights_00001.npy"
+        flip_byte(chunk, len(chunk.read_bytes()) - 8)  # inside the payload
+        with pytest.raises(TraceCorruptionError, match="weights_00001.npy"):
+            load(path)
 
     def test_content_swap_caught_by_checksum(self, tmp_path):
-        # Rebuild the zip with one array's contents changed but the
-        # original manifest: the container is intact (zip CRCs match the
-        # new bytes), only the trace-level checksum can catch it.
-        path = tmp_path / "t.npz"
-        save_trace(make_trace(), path)
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        payload["refs_0"] = payload["refs_0"].copy()
-        payload["refs_0"][0] ^= 1
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **payload)
+        # A well-formed chunk with one value changed: numpy reads it
+        # happily, only the trace-level checksum can catch it.
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(), path)
+        chunk = path / "refs_00000.npy"
+        refs = np.load(chunk)
+        refs[0] ^= 1
+        np.save(chunk, refs)
         with pytest.raises(TraceCorruptionError) as excinfo:
-            load_trace(path)
-        assert "refs_0" in str(excinfo.value)
-        # verify=False trusts the (intact) container and loads.
-        assert load_trace(path, verify=False) is not None
+            load(path)
+        assert "refs_00000.npy" in str(excinfo.value)
+        # verify=False trusts the (intact) files and loads.
+        np.save(chunk, refs)  # the failed read quarantined it
+        assert load(path, verify=False) is not None
 
     def test_nonexistent_file_is_not_corruption(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_trace(tmp_path / "missing.npz")
+            open_trace(tmp_path / "missing.stream")
+        assert list(tmp_path.iterdir()) == []
 
 
-class TestVerifyNpz:
-    def test_clean_archive_ok(self, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(make_trace(), path)
-        report = verify_npz(path)
+class TestVerify:
+    def test_clean_stream_ok(self, tmp_path):
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(), path)
+        report = open_trace(path).verify()
         assert report.ok
-        assert report.version == 3
+        assert report.version == STREAM_VERSION
         assert report.n_frames == 3
         assert all(report.frame_status(i) == "ok" for i in range(3))
 
-    def test_v2_rejected_as_unsupported(self, tmp_path):
-        path = tmp_path / "v2.npz"
-        save_v2(make_trace(), path)
-        with pytest.raises(TraceFormatError, match="version 2"):
-            verify_npz(path)
-
-    def test_damaged_member_reported_per_frame(self, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(make_trace(), path)
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        payload["weights_1"] = payload["weights_1"].copy()
-        payload["weights_1"][0] += 1
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        report = verify_npz(path)
+    def test_damaged_chunk_reported_per_frame(self, tmp_path):
+        # Frames hold 6, 7 and 8 entries; 5-entry chunks put stream
+        # entries 5..9 (the end of frame 0, the start of frame 1) in
+        # chunk 1.
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(), path, chunk_refs=5)
+        chunk = path / "weights_00001.npy"
+        weights = np.load(chunk)
+        weights[0] += 1
+        np.save(chunk, weights)
+        report = open_trace(path).verify()
         assert not report.ok
-        assert report.frame_status(0) == "ok"
-        assert report.frame_status(1) == "checksum-mismatch"
-        assert [c.name for c in report.problems] == ["weights_1"]
+        assert [report.frame_status(i) for i in range(3)] == [
+            "checksum-mismatch", "checksum-mismatch", "ok",
+        ]
+        assert [c.name for c in report.problems] == ["weights_00001.npy"]
+        assert chunk.exists()  # verify never quarantines
 
-    def test_unreadable_container_raises(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"this is not a zip archive")
+    def test_deleted_chunk_reported_missing(self, tmp_path):
+        path = tmp_path / "t.stream"
+        save_stream(make_trace(), path, chunk_refs=5)
+        (path / "refs_00004.npy").unlink()  # entry 20: frame 2 only
+        report = open_trace(path).verify()
+        assert [report.frame_status(i) for i in range(3)] == [
+            "ok", "ok", "missing",
+        ]
+
+    def test_undecodable_manifest_raises(self, tmp_path):
+        path = tmp_path / "junk.stream"
+        path.mkdir()
+        (path / "manifest.json").write_bytes(b"this is not a manifest")
         with pytest.raises(TraceCorruptionError):
-            verify_npz(path)
+            open_trace(path)
 
 
 class TestChecksum:
@@ -275,8 +281,8 @@ class TestChecksum:
 
 
 # ----------------------------------------------------------------------
-# Property tests: arbitrary traces survive a save/load round trip in the
-# current format, and are refused in the legacy one.
+# Property tests: arbitrary traces survive a save/load round trip at any
+# chunk size, and retired single-file archives are refused.
 # ----------------------------------------------------------------------
 
 frame_strategy = st.integers(0, 12).flatmap(
@@ -284,6 +290,12 @@ frame_strategy = st.integers(0, 12).flatmap(
         st.lists(st.integers(0, 2**40), min_size=n, max_size=n),
         st.lists(st.integers(1, 100), min_size=n, max_size=n),
         st.integers(0, 10_000),
+        st.one_of(
+            st.none(),
+            st.lists(st.integers(0, n), max_size=4).map(
+                lambda xs: [0, *sorted(xs)]
+            ),
+        ),
     )
 )
 
@@ -294,21 +306,28 @@ def build_trace(frame_specs):
             refs=np.array(refs, dtype=np.int64),
             weights=np.array(weights, dtype=np.int64),
             n_fragments=n_fragments,
+            object_offsets=(
+                None if offsets is None else np.array(offsets, dtype=np.int64)
+            ),
         )
-        for refs, weights, n_fragments in frame_specs
+        for refs, weights, n_fragments, offsets in frame_specs
     ]
     meta = TraceMeta("prop", 64, 48, "point", len(frames))
     return Trace(meta=meta, frames=frames, textures=[Texture("t", 32, 32)])
 
 
-@settings(max_examples=25)
+@settings(max_examples=25, deadline=None)
 @given(st.lists(frame_strategy, min_size=1, max_size=5))
 def test_roundtrip_property_v3(tmp_path_factory, frame_specs):
     trace = build_trace(frame_specs)
-    path = tmp_path_factory.mktemp("prop") / "t.npz"
-    save_trace(trace, path)
-    assert_traces_equal(trace, load_trace(path))
-    assert verify_npz(path).ok
+    root = tmp_path_factory.mktemp("prop")
+    for chunk_refs in (1, 7, DEFAULT_CHUNK_REFS):
+        path = root / f"t{chunk_refs}.stream"
+        save_stream(trace, path, chunk_refs=chunk_refs)
+        streamed = StreamingTrace(path)
+        assert_traces_equal(trace, streamed)
+        assert streamed.fingerprint() == trace.fingerprint()
+        assert streamed.verify().ok
 
 
 @settings(max_examples=25)
@@ -318,4 +337,4 @@ def test_property_legacy_v2_rejected(tmp_path_factory, frame_specs):
     path = tmp_path_factory.mktemp("prop") / "t.npz"
     save_v2(trace, path)
     with pytest.raises(TraceFormatError):
-        load_trace(path)
+        open_trace(path)
