@@ -9,11 +9,12 @@ pixels into a framebuffer (Fig 12 snapshots) and/or applies the §6
 z-before-texture optimization.
 
 Rasterization is batched: triangle setup and edge testing are vectorized
-across all of a frame's triangles (:mod:`repro.raster.batch`), and
-footprints are sampled with one call per distinct texture binding per
-frame. The differential suite proves the emitted fragment and reference
-streams bit-identical to a per-triangle renderer kept in the test-only
-oracle (``tests/oracle/``).
+across all of a frame's triangles (:mod:`repro.raster.batch`). References
+are emitted in cache-sized blocks of the frame's fragments — one
+footprint call per texture binding per block, then one run collapse per
+instance — straight into the frame's own arrays. The differential suite
+proves the emitted fragment and reference streams bit-identical to a
+per-triangle renderer kept in the test-only oracle (``tests/oracle/``).
 
 :meth:`Renderer.iter_frames` yields one :class:`FrameOutput` at a time —
 together with the streaming trace writer (:mod:`repro.trace.stream`) a
@@ -23,7 +24,7 @@ full-scale animation renders in bounded memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,11 +42,18 @@ from repro.texture.sampler import (
     footprint_tiles_grid,
     sample_color,
     secondary_lod_shift,
+    texel_reads_per_fragment,
 )
+from repro.texture.texture import Texture
 from repro.trace.events import collapse_runs
 from repro.trace.trace import FrameTrace
 
 __all__ = ["RenderOptions", "FrameOutput", "Renderer"]
+
+#: Fragments per footprint → collapse block. A trilinear block's grids
+#: then total 1 MB, and its temporaries stay in a per-core L2
+#: (DESIGN §12.3).
+FRAGMENT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -284,25 +292,11 @@ class Renderer:
             gbounds = np.concatenate(([0], np.cumsum(gcounts))).astype(np.int64)
 
         # Phase 3 — walk instances in emission order, slicing each one's
-        # fragment ranges out of the frame batch. Footprints are *queued*
-        # per texture binding and issued in phase 4 as one call per
-        # distinct texture, then sliced back per instance: every row of a
-        # footprint grid depends only on its own fragment, so batching
-        # across instances emits the same rows as per-instance calls.
-        obj_refs: list[np.ndarray] = []
-        obj_weights: list[np.ndarray] = []
+        # fragment ranges out of the frame batch (through the depth test
+        # when enabled), then emit the references of all of them in
+        # cache-sized blocks straight into the frame's arrays.
+        segments: list[_Segment] = []
         n_fragments = 0
-
-        fp_groups: dict[int, list[list]] = {}
-        fp_results: list[np.ndarray | None] = []
-
-        def _queue_footprint(texture, tid, u, v, lod) -> int:
-            slot = len(fp_results)
-            fp_results.append(None)
-            fp_groups.setdefault(tid, []).append([slot, texture, u, v, lod])
-            return slot
-
-        emitted: list[tuple[int, int | None]] = []
 
         for inst, tex, ts, te in plans:
             rasterized += int(np.count_nonzero(gcounts[ts:te]))
@@ -348,72 +342,11 @@ class Renderer:
                 u = gbatch.u[lo:hi]
                 v = gbatch.v[lo:hi]
                 lod = gbatch.lod[lo:hi]
+            segments.append(_Segment(inst, tex, u, v, lod))
 
-            slot = _queue_footprint(tex, inst.texture_id, u, v, lod)
-            sec_slot = None
-            if inst.secondary_texture_id is not None:
-                sec = self.manager.texture(inst.secondary_texture_id)
-                sec_slot = _queue_footprint(
-                    sec,
-                    inst.secondary_texture_id,
-                    u,
-                    v,
-                    lod + secondary_lod_shift(tex, sec),
-                )
-            emitted.append((slot, sec_slot))
-        # Free the batch's xs/ys/z/tri_ids before the footprint grids are
-        # built; u/v/lod live on through the queued slices.
-        gbatch = None
-
-        # Phase 4 — one footprint call per distinct texture binding, then
-        # collapse each instance's slice of the grid in emission order.
-        for tid, entries in fp_groups.items():
-            if len(entries) == 1:
-                slot, texture, u, v, lod = entries[0]
-                fp_results[slot] = footprint_tiles_grid(
-                    texture, tid, u, v, lod, opt.filter_mode
-                )
-                continue
-            texture = entries[0][1]
-            grid = footprint_tiles_grid(
-                texture,
-                tid,
-                np.concatenate([e[2] for e in entries]),
-                np.concatenate([e[3] for e in entries]),
-                np.concatenate([e[4] for e in entries]),
-                opt.filter_mode,
-            )
-            pos = 0
-            for slot, _, u, _, _ in entries:
-                fp_results[slot] = grid[pos : pos + len(u)]
-                pos += len(u)
-
-        for slot, sec_slot in emitted:
-            grid = fp_results[slot]
-            if sec_slot is not None:
-                grid = np.concatenate([grid, fp_results[sec_slot]], axis=1)
-            chunk_refs, chunk_weights = collapse_runs(grid.reshape(-1))
-            obj_refs.append(chunk_refs)
-            obj_weights.append(chunk_weights)
-
-        return self._assemble_output(
-            obj_refs, obj_weights, n_fragments, culled, rasterized, fb
+        refs, weights, offsets = _emit_references(
+            segments, self.manager, opt.filter_mode
         )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _assemble_output(
-        obj_refs, obj_weights, n_fragments, culled, rasterized, fb
-    ) -> FrameOutput:
-        if obj_refs:
-            lengths = np.array([len(r) for r in obj_refs], dtype=np.int64)
-            offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-            refs = np.concatenate(obj_refs)
-            weights = np.concatenate(obj_weights)
-        else:
-            offsets = np.empty(0, dtype=np.int64)
-            refs = np.empty(0, dtype=np.int64)
-            weights = np.empty(0, dtype=np.int64)
         trace = FrameTrace(
             refs=refs,
             weights=weights,
@@ -450,6 +383,123 @@ class Renderer:
             )
             colors = colors * (light.mean(axis=1, keepdims=True) / 255.0)
         fb.write_pixels(vis.ys, vis.xs, colors)
+
+
+class _Segment(NamedTuple):
+    """One instance's fragments that reached texturing, in emission order."""
+
+    inst: MeshInstance
+    tex: Texture
+    u: np.ndarray
+    v: np.ndarray
+    lod: np.ndarray
+
+
+def _emit_references(
+    segments: list[_Segment], manager: TextureManager, mode: FilterMode
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Footprint → collapse every segment into one frame stream.
+
+    The segments' concatenated fragments are cut into blocks of
+    ``FRAGMENT_BLOCK``; a block holds pieces of one or more instances.
+    Each block's footprints are sampled with one call per texture binding
+    (:func:`_block_grids`), then every piece is collapsed, in emission
+    order, straight into frame-wide arrays sized for the most texel reads
+    the segments can make. An instance cut by a block edge continues in
+    the next block; when that piece starts with the instance's last ref,
+    it is written one entry back, over that run, whose weight it adds
+    back. So the stream equals one collapse per instance, and runs never
+    merge across instances (DESIGN §12.3).
+
+    Returns ``(refs, weights, object_offsets)``.
+    """
+    reads = texel_reads_per_fragment(mode)
+    bound = sum(
+        len(seg.u) * (reads if seg.inst.secondary_texture_id is None else 2 * reads)
+        for seg in segments
+    )
+    refs = np.empty(bound, dtype=np.int64)
+    weights = np.empty(bound, dtype=np.int64)
+    offsets: list[int] = []
+    pos = 0
+    for block in _blocks(segments):
+        for (_, start, _), grid in zip(block, _block_grids(block, manager, mode)):
+            at = pos
+            if start == 0:
+                offsets.append(pos)
+            elif grid[0, 0] == refs[pos - 1]:
+                at -= 1
+            carry = weights[at] if at < pos else 0
+            runs, _ = collapse_runs(
+                grid.reshape(-1), out=(refs[at:], weights[at:])
+            )
+            weights[at] += carry
+            pos = at + len(runs)
+    # Shrink in place: a realloc that gives back the unused tail without
+    # copying, so the frame's trace owns exactly its entries.
+    refs.resize(pos, refcheck=False)
+    weights.resize(pos, refcheck=False)
+    return refs, weights, np.array(offsets, dtype=np.int64)
+
+
+def _blocks(segments: list[_Segment]) -> Iterator[list[tuple[_Segment, int, int]]]:
+    """Cut the segments' fragments into blocks of ``FRAGMENT_BLOCK``.
+
+    Yields lists of ``(segment, start, stop)`` pieces in emission order.
+    """
+    block: list[tuple[_Segment, int, int]] = []
+    room = FRAGMENT_BLOCK
+    for seg in segments:
+        start, n = 0, len(seg.u)
+        while start < n:
+            stop = min(n, start + room)
+            block.append((seg, start, stop))
+            room -= stop - start
+            start = stop
+            if room == 0:
+                yield block
+                block, room = [], FRAGMENT_BLOCK
+    if block:
+        yield block
+
+
+def _block_grids(
+    block: list[tuple[_Segment, int, int]],
+    manager: TextureManager,
+    mode: FilterMode,
+) -> list[np.ndarray]:
+    """Each piece's footprint grid, with one call per texture binding.
+
+    Every row of a footprint grid depends only on its own fragment, so
+    sampling the pieces that share a binding together and slicing the
+    grid back gives the rows of separate calls. A secondary texture's
+    grid is interleaved column-wise after the primary one's.
+    """
+    groups: dict[tuple[int, int | None], list[int]] = {}
+    for i, (seg, _, _) in enumerate(block):
+        key = (seg.inst.texture_id, seg.inst.secondary_texture_id)
+        groups.setdefault(key, []).append(i)
+    grids: list[np.ndarray] = [None] * len(block)
+    for (tid, sec_tid), members in groups.items():
+        pieces = [block[i] for i in members]
+        cols = [
+            [getattr(seg, col)[a:b] for seg, a, b in pieces]
+            for col in ("u", "v", "lod")
+        ]
+        u, v, lod = (c[0] if len(c) == 1 else np.concatenate(c) for c in cols)
+        tex = pieces[0][0].tex
+        grid = footprint_tiles_grid(tex, tid, u, v, lod, mode)
+        if sec_tid is not None:
+            sec = manager.texture(sec_tid)
+            sec_grid = footprint_tiles_grid(
+                sec, sec_tid, u, v, lod + secondary_lod_shift(tex, sec), mode
+            )
+            grid = np.concatenate([grid, sec_grid], axis=1)
+        row = 0
+        for i, (_, a, b) in zip(members, pieces):
+            grids[i] = grid[row : row + b - a]
+            row += b - a
+    return grids
 
 
 def _select(frags: Fragments, mask: np.ndarray) -> Fragments:

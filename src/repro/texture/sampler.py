@@ -11,17 +11,24 @@ each filter touches:
   4 tile references (duplicates collapse downstream);
 * trilinear — the 2x2 footprints at the two bracketing MIP levels, 8 refs.
 
+The renderer calls the footprint kernel once per texture binding per
+block of fragments, so its per-call cost is kept small: each binding's
+per-level tables are memoized, and power-of-two levels wrap with a mask
+instead of ``np.mod``.
+
 It also samples actual colors for image output (Fig 12 snapshots).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.texture.mipmap import mip_level_dims
+from repro.texture.mipmap import mip_level_count, mip_level_dims
 from repro.texture.texture import Texture
 from repro.texture.tiling import L1_TILE_TEXELS, pack_tile_refs
 
@@ -71,9 +78,57 @@ def _nearest_level(lod: np.ndarray, n_levels: int) -> np.ndarray:
     return np.clip(np.floor(lod + 0.5), 0, n_levels - 1).astype(np.int64)
 
 
+class _LevelTables(NamedTuple):
+    """Per-MIP-level tables of one texture binding, indexed by level."""
+
+    w: np.ndarray
+    h: np.ndarray
+    base: np.ndarray  # packed (tid, mip, 0, 0)
+    pow2: bool  # every level's width and height is a power of two
+
+
+@functools.lru_cache(maxsize=1024)
+def _level_tables(width: int, height: int, tid: int) -> _LevelTables:
+    """The level tables of a ``width`` x ``height`` texture bound as ``tid``.
+
+    Memoized by value, so a texture bound under two ids gets two tables and
+    equal-sized textures share one per id. The levels of a texture are all
+    powers of two exactly when its base dimensions are.
+    """
+    n = mip_level_count(width, height)
+    w, h = np.array(
+        [mip_level_dims(width, height, m) for m in range(n)], dtype=np.int64
+    ).T
+    base = pack_tile_refs(tid, np.arange(n), 0, 0, check=False)
+    for arr in (w, h, base):
+        arr.flags.writeable = False
+    pow2 = width & (width - 1) == 0 and height & (height - 1) == 0
+    return _LevelTables(w, h, base, pow2)
+
+
+def _texel_coords(
+    uv: np.ndarray, dims: np.ndarray, bilinear: bool, pow2: bool
+) -> np.ndarray:
+    """Wrapped int64 texel coordinates along one axis (GL_REPEAT).
+
+    Bilinear takes the lower-left texel of the 2x2 footprint. ``dims`` is
+    consumed: a power-of-two axis reuses it as the wrap mask.
+    """
+    t = uv * dims
+    if bilinear:
+        t -= 0.5
+    np.floor(t, out=t)
+    coords = t.astype(np.int64)
+    if pow2:
+        # In two's complement, x & (d - 1) == x mod d for a power-of-two d.
+        dims -= 1
+        coords &= dims
+        return coords
+    return np.mod(coords, dims, out=coords)
+
+
 def _level_tiles(
-    texture: Texture,
-    tid: int,
+    tables: _LevelTables,
     u: np.ndarray,
     v: np.ndarray,
     levels: np.ndarray,
@@ -90,30 +145,28 @@ def _level_tiles(
     # Per-level tables gathered per fragment: one pass over the fragments
     # however many MIP levels the batch spans. A gathered dimension
     # multiplies to the same IEEE bits as a scalar broadcast of it.
-    n_tab = int(levels.max()) + 1
-    dims = np.array(
-        [mip_level_dims(texture.width, texture.height, m) for m in range(n_tab)],
-        dtype=np.int64,
-    ).T
-    w = dims[0][levels]
-    h = dims[1][levels]
-    base = pack_tile_refs(tid, np.arange(n_tab), 0, 0, check=False)[levels]
+    w = tables.w[levels]
+    h = tables.h[levels]
+    base = tables.base[levels]
+    x0 = _texel_coords(u, w, bilinear, tables.pow2)
+    y0 = _texel_coords(v, h, bilinear, tables.pow2)
     if not bilinear:
-        x = np.mod(np.floor(u * w).astype(np.int64), w)
-        y = np.mod(np.floor(v * h).astype(np.int64), h)
-        y >>= _TILE_SHIFT
-        y <<= _TY_SHIFT
-        y |= base
-        x >>= _TILE_SHIFT
-        np.bitwise_or(y, x, out=out[:, 0])
+        y0 >>= _TILE_SHIFT
+        y0 <<= _TY_SHIFT
+        y0 |= base
+        x0 >>= _TILE_SHIFT
+        np.bitwise_or(y0, x0, out=out[:, 0])
         return
-    # One wrap per axis: x0 + 1 wraps exactly when it reaches the width.
-    x0 = np.mod(np.floor(u * w - 0.5).astype(np.int64), w)
-    y0 = np.mod(np.floor(v * h - 0.5).astype(np.int64), h)
+    # One wrap per axis: x0 + 1 wraps exactly when it reaches the width
+    # (for a power-of-two axis ``w`` and ``h`` now hold the wrap masks).
     x1 = x0 + 1
-    x1 *= x1 != w
     y1 = y0 + 1
-    y1 *= y1 != h
+    if tables.pow2:
+        x1 &= w
+        y1 &= h
+    else:
+        x1 *= x1 != w
+        y1 *= y1 != h
     x0 >>= _TILE_SHIFT
     x1 >>= _TILE_SHIFT
     for col, yy in ((0, y0), (2, y1)):
@@ -144,18 +197,17 @@ def footprint_tiles_grid(
     lod = np.asarray(lod, dtype=np.float64)
     if not isinstance(mode, FilterMode):
         raise ValueError(f"unknown filter mode {mode!r}")
-    n_levels = texture.level_count
+    tables = _level_tables(texture.width, texture.height, tid)
+    n_levels = len(tables.w)
     out = np.empty((len(u), texel_reads_per_fragment(mode)), dtype=np.int64)
     if mode is FilterMode.TRILINEAR:
         m0 = np.clip(np.floor(lod), 0, n_levels - 1).astype(np.int64)
         m1 = np.minimum(m0 + 1, n_levels - 1)
-        _level_tiles(texture, tid, u, v, m0, True, out[:, :4])
-        _level_tiles(texture, tid, u, v, m1, True, out[:, 4:])
+        _level_tiles(tables, u, v, m0, True, out[:, :4])
+        _level_tiles(tables, u, v, m1, True, out[:, 4:])
     else:
         levels = _nearest_level(lod, n_levels)
-        _level_tiles(
-            texture, tid, u, v, levels, mode is FilterMode.BILINEAR, out
-        )
+        _level_tiles(tables, u, v, levels, mode is FilterMode.BILINEAR, out)
     return out
 
 

@@ -17,11 +17,16 @@ import numpy as np
 __all__ = ["collapse_runs"]
 
 
-def collapse_runs(refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def collapse_runs(
+    refs: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Run-length collapse a reference stream.
 
     Args:
         refs: 1-D int64 array of packed tile references in access order.
+        out: optional ``(values, weights)`` int64 buffers to write into,
+            each at least as long as the collapsed stream; the result is
+            then views of their heads.
 
     Returns:
         ``(values, weights)``: the stream with consecutive duplicates merged,
@@ -36,6 +41,14 @@ def collapse_runs(refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     boundaries[0] = True
     np.not_equal(refs[1:], refs[:-1], out=boundaries[1:])
     starts = np.flatnonzero(boundaries)
-    values = refs[starts]
-    weights = np.diff(np.append(starts, n)).astype(np.int64)
+    k = len(starts)
+    if out is None:
+        values = refs[starts]
+        weights = np.empty(k, dtype=np.int64)
+    else:
+        values, weights = out[0][:k], out[1][:k]
+        np.take(refs, starts, out=values)
+    # Run lengths: gaps between run starts, the last run ends at n.
+    np.subtract(starts[1:], starts[:-1], out=weights[:-1])
+    weights[-1] = n - starts[-1]
     return values, weights

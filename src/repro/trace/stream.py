@@ -17,8 +17,9 @@ replays it through many cache configurations. A trace is a *directory*
   fields, the texture set, and a CRC32 per file
   (:func:`~repro.reliability.integrity.array_checksum`).
 
-:class:`StreamTraceWriter` appends one :class:`FrameTrace` at a time and
-never holds more than one chunk of pending data, so
+:class:`StreamTraceWriter` appends one :class:`FrameTrace` at a time,
+saving whole chunks straight from slices of the frame's arrays, and never
+holds more than one chunk of pending data (a tail buffer), so
 ``Renderer.iter_frames() -> writer.append_frame()`` renders an arbitrarily
 long animation in bounded memory. :class:`StreamingTrace` is the reading
 counterpart: it duck-types :class:`~repro.trace.trace.Trace` (``meta``,
@@ -107,9 +108,10 @@ class StreamTraceWriter:
         )
         self._checksums: dict[str, int] = {}
         self._n_chunks = 0
-        self._pending_refs: list[np.ndarray] = []
-        self._pending_weights: list[np.ndarray] = []
-        self._pending = 0  # entries buffered across _pending_refs
+        # The tail of the stream not yet in a chunk file (under one chunk).
+        self._tail_refs = np.empty(self.chunk_refs, dtype=np.int64)
+        self._tail_weights = np.empty(self.chunk_refs, dtype=np.int64)
+        self._pending = 0  # entries buffered in the tail
         self._total = 0  # entries flushed + buffered (global stream length)
         self._frame_starts: list[int] = [0]
         self._n_fragments: list[int] = []
@@ -120,13 +122,18 @@ class StreamTraceWriter:
 
     # ------------------------------------------------------------------
     def append_frame(self, frame: FrameTrace) -> None:
-        """Append one frame's refs/weights to the stream."""
+        """Append one frame's refs/weights to the stream.
+
+        Whole chunks are written straight from slices of the frame's
+        arrays; only a chunk that straddles frames passes through the tail
+        buffer.
+        """
         if self._closed:
             raise RuntimeError("writer is closed")
-        self._pending_refs.append(np.asarray(frame.refs, dtype=np.int64))
-        self._pending_weights.append(np.asarray(frame.weights, dtype=np.int64))
-        self._pending += len(frame.refs)
-        self._total += len(frame.refs)
+        refs = np.asarray(frame.refs, dtype=np.int64)
+        weights = np.asarray(frame.weights, dtype=np.int64)
+        n = len(refs)
+        self._total += n
         self._frame_starts.append(self._total)
         self._n_fragments.append(int(frame.n_fragments))
         if frame.object_offsets is not None:
@@ -136,22 +143,34 @@ class StreamTraceWriter:
             self._offsets.append(np.empty(0, dtype=np.int64))
             self._has_offsets.append(False)
         self._offset_bounds.append(self._offset_bounds[-1] + len(self._offsets[-1]))
-        while self._pending >= self.chunk_refs:
-            self._flush_chunk(self.chunk_refs)
 
-    def _flush_chunk(self, length: int) -> None:
-        refs = np.concatenate(self._pending_refs) if self._pending_refs else np.empty(0, dtype=np.int64)
-        weights = np.concatenate(self._pending_weights) if self._pending_weights else np.empty(0, dtype=np.int64)
-        chunk_refs, rest_refs = refs[:length], refs[length:]
-        chunk_weights, rest_weights = weights[:length], weights[length:]
-        for kind, arr in (("refs", chunk_refs), ("weights", chunk_weights)):
+        chunk = self.chunk_refs
+        pos = 0
+        if self._pending:
+            pos = min(chunk - self._pending, n)
+            self._buffer(refs[:pos], weights[:pos])
+            if self._pending < chunk:
+                return
+            self._flush_chunk(self._tail_refs, self._tail_weights)
+            self._pending = 0
+        while n - pos >= chunk:
+            self._flush_chunk(refs[pos : pos + chunk], weights[pos : pos + chunk])
+            pos += chunk
+        self._buffer(refs[pos:], weights[pos:])
+
+    def _buffer(self, refs: np.ndarray, weights: np.ndarray) -> None:
+        """Copy a piece of under one chunk onto the end of the tail."""
+        end = self._pending + len(refs)
+        self._tail_refs[self._pending : end] = refs
+        self._tail_weights[self._pending : end] = weights
+        self._pending = end
+
+    def _flush_chunk(self, refs: np.ndarray, weights: np.ndarray) -> None:
+        for kind, arr in (("refs", refs), ("weights", weights)):
             name = _chunk_name(kind, self._n_chunks)
             np.save(self._tmp / name, arr)
             self._checksums[name] = array_checksum(arr)
         self._n_chunks += 1
-        self._pending_refs = [rest_refs] if len(rest_refs) else []
-        self._pending_weights = [rest_weights] if len(rest_weights) else []
-        self._pending = len(rest_refs)
 
     def close(self) -> Path:
         """Flush, write the index and manifest, and publish atomically."""
@@ -164,7 +183,10 @@ class StreamTraceWriter:
                 f"appended {len(self._n_fragments)}"
             )
         if self._pending or self._n_chunks == 0:
-            self._flush_chunk(self._pending)
+            self._flush_chunk(
+                self._tail_refs[: self._pending],
+                self._tail_weights[: self._pending],
+            )
         index = {
             "frame_starts": np.asarray(self._frame_starts, dtype=np.int64),
             "n_fragments": np.asarray(self._n_fragments, dtype=np.int64),

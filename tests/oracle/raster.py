@@ -23,6 +23,7 @@ from repro.raster.rasterizer import TILE_EDGE, Fragments, RasterOrder
 from repro.raster.zbuffer import DepthBuffer
 from repro.texture.sampler import secondary_lod_shift
 from repro.trace.events import collapse_runs
+from repro.trace.trace import FrameTrace
 
 from tests.oracle.footprint import reference_footprint_tiles_grid
 
@@ -265,8 +266,22 @@ class ReferenceRenderer(Renderer):
                 obj_refs.append(chunk_refs)
                 obj_weights.append(chunk_weights)
 
-        return self._assemble_output(
-            obj_refs, obj_weights, n_fragments, culled, rasterized, fb
+        # One collapsed sub-stream per instance, concatenated in
+        # submission order.
+        lengths = [len(r) for r in obj_refs]
+        offsets = np.cumsum([0] + lengths[:-1]) if obj_refs else []
+        empty = np.empty(0, dtype=np.int64)
+        trace = FrameTrace(
+            refs=np.concatenate(obj_refs) if obj_refs else empty,
+            weights=np.concatenate(obj_weights) if obj_refs else empty,
+            n_fragments=n_fragments,
+            object_offsets=np.asarray(offsets, dtype=np.int64),
+        )
+        return FrameOutput(
+            trace=trace,
+            image=fb.as_uint8() if fb is not None else None,
+            culled_instances=culled,
+            rasterized_triangles=rasterized,
         )
 
     def _raster_one(self, cpos, cuv, tex, double_sided) -> Fragments | None:

@@ -1,8 +1,8 @@
 """Differential proof: production footprints == the per-tap reference, bitwise.
 
-:func:`repro.texture.sampler.footprint_tiles_grid` wraps each axis once,
-derives the ``+1`` tap's wrap by compare-and-zero, shifts texels to tiles
-and writes every column into one preallocated grid. The test oracle
+:func:`repro.texture.sampler.footprint_tiles_grid` wraps each axis once
+(a mask on power-of-two levels), derives the ``+1`` tap's wrap from it,
+shifts texels to tiles and writes every column into one preallocated grid. The test oracle
 (:func:`tests.oracle.reference_footprint_tiles_grid`) packs every tap from
 scratch with its own ``np.mod``. They must agree on every reference under
 all three filter modes, for any texture shape, coordinate and LOD.
