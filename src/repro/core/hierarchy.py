@@ -6,9 +6,11 @@ Per frame: the collapsed tile-reference stream runs through L1; the L1 miss
 stream is translated to page-table indices (consulting the TLB) and runs
 through the L2; byte counts fall out of the transaction counts.
 
-The frame passes set index → L1 → L2 translation → TLB → L2 in
-consecutive blocks of :data:`FRAME_BLOCK` refs, and the per-block partials
-fold into the frame's stats (DESIGN §8.4). Every stage carries its state
+The frame passes set index → L1 → L2 translation → TLB → L2 in the
+consecutive blocks of :meth:`FrameTrace.blocks` (at most
+:data:`FRAME_BLOCK` refs each, and cut at every chunk edge of a streamed
+frame, which therefore is never copied), and the per-block partials fold
+into the frame's stats (DESIGN §8.4). Every stage carries its state
 across calls and is invariant to how its stream is chunked, so blocking
 is exact; it keeps each per-ref temporary cache-sized at paper resolution.
 The fault link and VT still run once per frame, on whole-frame totals and
@@ -72,8 +74,8 @@ __all__ = [
 #: per-access loops moved into the test oracle still resume.
 ENGINE = "batched"
 
-#: Refs per block of :meth:`MultiLevelTextureCache.run_frame`: 512 KB per
-#: int64 temporary, so a block's temporaries stay in a per-core L2
+#: Most refs per block of :meth:`MultiLevelTextureCache.run_frame`: 512 KB
+#: per int64 temporary, so a block's temporaries stay in a per-core L2
 #: (DESIGN §8.4).
 FRAME_BLOCK = 1 << 16
 
@@ -629,13 +631,10 @@ class MultiLevelTextureCache:
             return self._run_frame_tenants(frame)
         n_sets = self.config.l1.n_sets
         parts = []
-        # An empty frame still makes one (empty) pass.
-        for start in range(0, max(len(frame.refs), 1), FRAME_BLOCK):
-            refs = frame.refs[start : start + FRAME_BLOCK]
+        # An empty frame still yields one (empty) block.
+        for refs, weights in frame.blocks(FRAME_BLOCK):
             sets = self.space.l1_set_indices(refs, n_sets)
-            l1_res = self.l1.access_frame(
-                refs, frame.weights[start : start + FRAME_BLOCK], sets
-            )
+            l1_res = self.l1.access_frame(refs, weights, sets)
             part = FrameCacheStats(
                 texel_reads=l1_res.texel_reads,
                 l1_accesses=l1_res.accesses,

@@ -174,8 +174,8 @@ def render_trace(
     )
     if workers > 1 and scale.frames > 1:
         # Render through the supervised shard pipeline into a scratch
-        # stream, then materialize. Frames copy out of the mmap'd chunks,
-        # so they outlive the scratch directory.
+        # stream, then materialize: stream frames are views of its mmap'd
+        # chunks, so the frames are copied to outlive the scratch directory.
         tmp = tempfile.mkdtemp(prefix="repro-render-")
         try:
             stream_path = Path(tmp) / "trace.stream"
@@ -186,7 +186,7 @@ def render_trace(
                 stream_path,
                 jobs=workers,
             )
-            frames = list(StreamingTrace(stream_path).frames)
+            frames = StreamingTrace(stream_path).materialize().frames
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
         # The texture set comes from a local (cheap) scene build.
@@ -293,6 +293,8 @@ def get_trace(
         path = cache_dir / f"{key_name}.stream"
         if path.exists():
             try:
+                # Copies every frame: the memory cache must not pin mmaps
+                # of a directory that a re-render may replace.
                 trace = StreamingTrace(path).materialize()
             except TraceCorruptionError as exc:
                 dest = quarantine_trace(path)

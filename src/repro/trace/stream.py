@@ -23,10 +23,15 @@ holds more than one chunk of pending data (a tail buffer), so
 ``Renderer.iter_frames() -> writer.append_frame()`` renders an arbitrarily
 long animation in bounded memory. :class:`StreamingTrace` is the reading
 counterpart: it duck-types :class:`~repro.trace.trace.Trace` (``meta``,
-``frames``, ``textures``, ``fingerprint`` …) but builds each frame on
-demand from the mmap'd chunks, verifying each chunk's CRC once on first
-touch. A corrupt chunk is moved into ``quarantine/`` and surfaces as
-:class:`~repro.errors.TraceCorruptionError`.
+``frames``, ``textures``, ``fingerprint`` …) and copies nothing to read a
+frame. A frame inside one chunk is a pair of read-only views of that
+mmap'd chunk; a frame that crosses chunk edges hands out its per-chunk
+views one at a time (:meth:`FrameTrace.blocks`, which the simulator walks)
+and concatenates them only if a consumer reads its whole ``refs`` or
+``weights``. Each chunk's CRC is verified once, on first touch. A corrupt
+chunk is moved into ``quarantine/`` and surfaces as
+:class:`~repro.errors.TraceCorruptionError`. A frame that must outlive its
+directory is copied explicitly (:meth:`StreamingTrace.materialize`).
 
 The directory is written atomically (tmp dir + ``os.replace``), so readers
 never observe a half-written trace.
@@ -39,6 +44,7 @@ import os
 import shutil
 import tempfile
 import zlib
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -300,10 +306,52 @@ class _ChunkCache:
                     f"chunk {name!r} fails its checksum (bit flip or content swap)",
                 )
             self._verified.add(name)
+        # A plain ndarray over the mmap: slices of it keep the mapping alive
+        # after eviction, without memmap's per-operation subclass hooks.
+        arr = arr.view(np.ndarray)
         self._cache[name] = arr
         while len(self._cache) > self._capacity:
             self._cache.pop(next(iter(self._cache)))
         return arr
+
+
+class _SpanFrame(FrameTrace):
+    """A frame whose span of the stream crosses chunk edges.
+
+    :meth:`blocks` pulls its chunks through the trace's chunk cache one at
+    a time, so simulating the frame copies nothing and maps no more than
+    the cache holds. ``refs`` and ``weights`` concatenate the pieces on
+    first read, for consumers that need the whole frame as one array (VT,
+    tenancy merges, the analytic models).
+    """
+
+    def __init__(
+        self,
+        trace: "StreamingTrace",
+        start: int,
+        stop: int,
+        n_fragments: int,
+        object_offsets: np.ndarray | None,
+    ):
+        self._trace = trace
+        self._span = (start, stop)
+        self.n_fragments = n_fragments
+        self.object_offsets = object_offsets
+
+    @cached_property
+    def refs(self) -> np.ndarray:
+        return self._trace._read_span("refs", *self._span)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self._trace._read_span("weights", *self._span)
+
+    def blocks(self, size: int):
+        t = self._trace
+        yield from zip(
+            t._pieces("refs", *self._span, size),
+            t._pieces("weights", *self._span, size),
+        )
 
 
 class _StreamFrames:
@@ -329,17 +377,19 @@ class _StreamFrames:
             raise IndexError(i)
         t = self._trace
         start, stop = int(t.frame_starts[i]), int(t.frame_starts[i + 1])
-        refs = t._read_span("refs", start, stop)
-        weights = t._read_span("weights", start, stop)
+        n_fragments = int(t.n_fragments_per_frame[i])
         if t.has_offsets[i]:
             lo, hi = int(t.offset_bounds[i]), int(t.offset_bounds[i + 1])
             offsets = t.offsets_cat[lo:hi]
         else:
             offsets = None
+        if stop - start > t.chunk_refs - start % t.chunk_refs:
+            # The span runs past the end of its first chunk.
+            return _SpanFrame(t, start, stop, n_fragments, offsets)
         return FrameTrace(
-            refs=refs,
-            weights=weights,
-            n_fragments=int(t.n_fragments_per_frame[i]),
+            refs=t._read_span("refs", start, stop),
+            weights=t._read_span("weights", start, stop),
+            n_fragments=n_fragments,
             object_offsets=offsets,
         )
 
@@ -352,7 +402,9 @@ class StreamingTrace:
     checkpointing): ``meta``, ``textures``, ``address_space``,
     ``pixels_per_frame``, ``total_texel_reads()``, ``fingerprint()``, and a
     lazy ``frames`` sequence that materializes one frame at a time from the
-    mmap'd chunks. Peak memory is a few chunks regardless of trace length.
+    mmap'd chunks. Frames are views of those chunks, never copies (see the
+    module docstring), so peak memory is a few chunks regardless of trace
+    or frame length.
     """
 
     def __init__(self, path: str | os.PathLike, verify: bool = True):
@@ -440,26 +492,25 @@ class StreamingTrace:
         except OSError:
             pass  # quarantine is best-effort; the corruption error still raises
 
+    def _pieces(self, kind: str, start: int, stop: int, size: int):
+        """Read-only views of entries ``[start, stop)`` of the ``kind``
+        stream, in order, cut at every chunk edge and every ``size``
+        entries. Each chunk is fetched only when its first piece is due."""
+        pos = start
+        while pos < stop:
+            ci, off = divmod(pos, self.chunk_refs)
+            n = min(stop - pos, self.chunk_refs - off, size)
+            yield self._chunks.get(kind, ci)[off : off + n]
+            pos += n
+
     def _read_span(self, kind: str, start: int, stop: int) -> np.ndarray:
-        """One contiguous slice of the global stream, crossing chunks."""
-        if stop <= start:
-            return np.empty(0, dtype=np.int64)
-        c0 = start // self.chunk_refs
-        c1 = (stop - 1) // self.chunk_refs
-        if c0 == c1:
-            chunk = self._chunks.get(kind, c0)
-            base = c0 * self.chunk_refs
-            # Copy out of the mmap so frames own their data (consumers may
-            # outlive the cache entry).
-            return np.array(chunk[start - base : stop - base])
-        parts = []
-        for ci in range(c0, c1 + 1):
-            chunk = self._chunks.get(kind, ci)
-            base = ci * self.chunk_refs
-            lo = max(start - base, 0)
-            hi = min(stop - base, len(chunk))
-            parts.append(chunk[lo:hi])
-        return np.concatenate(parts)
+        """Entries ``[start, stop)`` of the ``kind`` stream as one array:
+        a view of the chunk when the span lies in one, else a concatenated
+        copy."""
+        pieces = list(self._pieces(kind, start, stop, self.chunk_refs))
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     @property
@@ -485,23 +536,37 @@ class StreamingTrace:
         """CRC32 over the reference stream — same chaining as ``Trace``.
 
         Guarantees a streamed trace keys the same simulation-store entries
-        and checkpoints as its materialized twin.
+        and checkpoints as its materialized twin. Each frame's chunk
+        pieces are CRC'd in place, refs then weights: the same bytes in
+        the same order, with no frame assembled.
         """
         if self._fingerprint is None:
             crc = 0
-            for frame in self.frames:
-                for arr in (frame.refs, frame.weights):
-                    crc = zlib.crc32(
-                        np.ascontiguousarray(arr).reshape(-1).view(np.uint8), crc
-                    )
+            bounds = self.frame_starts.tolist()
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                for kind in ("refs", "weights"):
+                    for piece in self._pieces(kind, start, stop, self.chunk_refs):
+                        crc = zlib.crc32(piece.view(np.uint8), crc)
             self._fingerprint = crc
         return self._fingerprint
 
     def materialize(self) -> Trace:
-        """Load every frame into an in-RAM :class:`Trace`."""
-        return Trace(
-            meta=self.meta, frames=list(self.frames), textures=self.textures
-        )
+        """Load every frame into an in-RAM :class:`Trace`.
+
+        Unlike ``frames[i]``, whose arrays are views of the mmap'd chunks,
+        these frames own copies of their arrays, so the trace outlives its
+        directory.
+        """
+        frames = [
+            FrameTrace(
+                refs=_owned(f.refs),
+                weights=_owned(f.weights),
+                n_fragments=f.n_fragments,
+                object_offsets=f.object_offsets,
+            )
+            for f in self.frames
+        ]
+        return Trace(meta=self.meta, frames=frames, textures=self.textures)
 
     def verify(self) -> VerifyReport:
         """Checksum every chunk and index file without quarantining.
@@ -552,6 +617,11 @@ class StreamingTrace:
         hi = min(lo + self.chunk_refs, self.stream_length)
         starts, stops = self.frame_starts[:-1], self.frame_starts[1:]
         return np.flatnonzero((starts < hi) & (stops > lo) & (stops > starts))
+
+
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it owns its buffer (a concatenation), else a copy."""
+    return arr if arr.flags.owndata else arr.copy()
 
 
 def open_trace(path: str | os.PathLike, verify: bool = True) -> StreamingTrace:

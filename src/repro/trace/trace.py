@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +59,18 @@ class FrameTrace:
     def texel_reads(self) -> int:
         """Total texel reads this frame (collapsed weights restored)."""
         return int(self.weights.sum())
+
+    def blocks(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The frame's ``(refs, weights)`` in order, as views of at most
+        ``size`` entries each.
+
+        An empty frame yields one empty block, so a consumer folding
+        per-block results still makes one pass per frame. A frame read
+        from a ``.stream`` also cuts at every chunk edge
+        (:mod:`repro.trace.stream`).
+        """
+        for start in range(0, max(len(self.refs), 1), size):
+            yield self.refs[start : start + size], self.weights[start : start + size]
 
     def object_ids(self) -> np.ndarray | None:
         """Per-entry object index (from ``object_offsets``), or None."""

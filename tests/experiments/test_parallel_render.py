@@ -1,5 +1,8 @@
 """Tests for parallel trace rendering."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,27 @@ class TestParallelRender:
             assert np.array_equal(a.weights, b.weights)
             assert a.n_fragments == b.n_fragments
             assert np.array_equal(a.object_offsets, b.object_offsets)
+
+    def test_parallel_frames_outlive_the_scratch_stream(self, monkeypatch):
+        # Stream frames are views of mmap'd chunks; the supervised path
+        # deletes its scratch stream, so its frames must own copies.
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        parallel = render_trace("city", MICRO, FilterMode.POINT, workers=2)
+        monkeypatch.undo()
+        assert made and not any(os.path.exists(d) for d in made)
+        serial = render_trace("city", MICRO, FilterMode.POINT, workers=1)
+        for a, b in zip(serial.frames, parallel.frames):
+            for arr in (b.refs, b.weights):
+                assert arr.flags.owndata
+            assert np.array_equal(a.refs, b.refs)
+            assert np.array_equal(a.weights, b.weights)
 
     def test_more_workers_than_frames(self):
         trace = render_trace("city", MICRO, FilterMode.POINT, workers=16)
