@@ -59,10 +59,6 @@ def test_serve_overload_qos(benchmark, run_bench_experiment):
         < scenarios["static-overload"]["worst_slowdown"]
     )
 
-    interleave = result.data["interleave_feedback"]
-    assert len(interleave["trajectory"]) >= 2
-    assert interleave["worst_slowdown_spread"] >= 0.0
-
     ARTIFACT.write_text(
         json.dumps(
             {
@@ -72,7 +68,6 @@ def test_serve_overload_qos(benchmark, run_bench_experiment):
                 "epoch_us": result.data["epoch_us"],
                 "feedback_vs_static_margin": margin,
                 "scenarios": scenarios,
-                "interleave_feedback": interleave,
             },
             indent=2,
         )

@@ -13,8 +13,11 @@ frame, which therefore is never copied), and the per-block partials fold
 into the frame's stats (DESIGN §8.4). Every stage carries its state
 across calls and is invariant to how its stream is chunked, so blocking
 is exact; it keeps each per-ref temporary cache-sized at paper resolution.
-The fault link and VT still run once per frame, on whole-frame totals and
-refs; the multi-tenant path runs whole frames.
+A multi-tenant run attributes each block to its tenants and feeds each
+run of one tenant's L1 misses to that tenant's TLB and L2. VT's feedback
+pass collects each block's visible pages; the fault link and the VT
+engine then run once per frame, on the frame's totals and its pages in
+first-touch order.
 
 Without an L2, the same machinery models the pull architecture: every L1
 miss is a 64-byte download over AGP.
@@ -36,6 +39,7 @@ import numpy as np
 from repro.core.l1_cache import L1CacheConfig, L1CacheSim
 from repro.core.l2_cache import L2CacheConfig, L2FrameResult, L2TextureCache
 from repro.core.tlb import TextureTableTLB, TLBFrameResult
+from repro.raster.feedback import first_touch, page_requests
 from repro.reliability.faults import FaultModel
 from repro.reliability.transfer import (
     AgpTransferLink,
@@ -157,10 +161,9 @@ class FrameCacheStats:
     def merge(cls, parts) -> FrameCacheStats:
         """Sum several partial stats of one logical stream into one total.
 
-        The hierarchy uses this to fold per-block (and per-tenant
-        segment) partials into whole-frame stats; the simulation is
-        chunking-invariant, so merged partials equal single-call stats
-        exactly.
+        The hierarchy uses this to fold per-block partials into
+        whole-frame stats; the simulation is chunking-invariant, so
+        merged partials equal single-call stats exactly.
         Every optional sub-result must be present in either all parts or
         none — merging heterogeneous stats would silently drop counts.
         Gauge-like fields (e.g. VT in-flight) are summed too, which is
@@ -627,10 +630,9 @@ class MultiLevelTextureCache:
     def run_frame(self, frame: FrameTrace) -> FrameCacheStats:
         """Simulate one frame (Fig 7 steps A-F), in blocks of
         :data:`FRAME_BLOCK` refs up to the L2 (see the module docstring)."""
-        if self.tenancy is not None:
-            return self._run_frame_tenants(frame)
         n_sets = self.config.l1.n_sets
         parts = []
+        pages = []
         # An empty frame still yields one (empty) block.
         for refs, weights in frame.blocks(FRAME_BLOCK):
             sets = self.space.l1_set_indices(refs, n_sets)
@@ -640,12 +642,35 @@ class MultiLevelTextureCache:
                 l1_accesses=l1_res.accesses,
                 l1_misses=l1_res.misses,
             )
+            # Runs (tenant, start, stop) of the L1 miss stream; untenanted,
+            # the whole stream is one run of no tenant.
+            if self.tenancy is None:
+                runs, n_rows = [(None, 0, l1_res.misses)], 1
+            else:
+                tenant_l1, runs = self._attribute(refs, weights, l1_res.miss_refs)
+                n_rows = self.tenancy.n_tenants
+            # One row per tenant (or the untenanted run).
+            l2_acc = np.zeros((n_rows, len(FRAME_L2_COLUMNS)), dtype=np.int64)
+            tlb_acc = np.zeros((n_rows, len(FRAME_TLB_COLUMNS)), dtype=np.int64)
             if self.l2 is not None:
                 l2_tile = self.config.l2.l2_tile_texels
                 gids, subs = self.space.l2_addresses(l1_res.miss_refs, l2_tile)
+                for t, s, e in runs:
+                    l2, tlb = self._levels(t)
+                    if tlb is not None:
+                        tlb_res = tlb.access_frame(gids[s:e])
+                        tlb_acc[t or 0] += [
+                            getattr(tlb_res, c) for c in FRAME_TLB_COLUMNS
+                        ]
+                    l2_res = l2.access_blocks(gids[s:e], subs[s:e])
+                    l2_acc[t or 0] += [getattr(l2_res, c) for c in FRAME_L2_COLUMNS]
+                part.l2 = L2FrameResult(*l2_acc.sum(axis=0).tolist())
                 if self.tlb is not None:
-                    part.tlb = self.tlb.access_frame(gids)
-                part.l2 = self.l2.access_blocks(gids, subs)
+                    part.tlb = TLBFrameResult(*tlb_acc.sum(axis=0).tolist())
+            if self.tenancy is not None:
+                part.tenants = TenantFrameStats(*tenant_l1, *l2_acc.T, *tlb_acc.T)
+            if self.vt is not None:
+                pages.append(page_requests(refs, self.vt.mega.page_texels))
             parts.append(part)
         stats = FrameCacheStats.merge(parts)
         if self.link is not None:
@@ -657,97 +682,50 @@ class MultiLevelTextureCache:
             )
             stats.transfer = self.link.transfer_frame(n_blocks)
         if self.vt is not None:
-            # The raw per-fragment refs are the feedback pass's footprint
-            # stream; the VT engine pages against them and never blocks.
-            stats.vt = self.vt.run_frame(frame.refs)
+            # The feedback pass: blocks arrive in stream order, so the
+            # first touches over their page lists are the frame's. The VT
+            # engine pages against them and never blocks.
+            stats.vt = self.vt.run_frame(first_touch(np.concatenate(pages)))
         return stats
 
-    def _run_frame_tenants(self, frame: FrameTrace) -> FrameCacheStats:
-        """One frame of a merged multi-tenant stream with attribution.
+    def _attribute(self, refs, weights, miss_refs):
+        """One block's per-tenant L1 counts and its L1 miss stream's runs.
 
-        The L1 runs the merged stream whole (it is shared and tenant-
-        oblivious); the L1 miss stream is split into runs of equal tenant
-        and fed segment-wise to the (shared or partitioned) TLB and L2.
-        Both batched engines are invariant to call chunking, so segment-
-        wise simulation is bit-identical to one call while attributing
-        every transaction to its tenant. Per-tenant partials are then
-        folded into whole-frame stats with :meth:`FrameCacheStats.merge`.
+        The L1 is shared and tenant-oblivious; its misses are split into
+        runs ``(tenant, start, stop)`` of equal tenant, each fed to that
+        tenant's TLB and L2. Both batched engines are invariant to call
+        chunking, so run-wise simulation is bit-identical to one call while
+        attributing every transaction to its tenant.
         """
-        ten = self.tenancy
-        n = ten.n_tenants
-        tenant_of = tenant_of_refs(frame.refs, self._tid_bases)
-        sets = self.space.l1_set_indices(frame.refs, self.config.l1.n_sets)
-        l1_res = self.l1.access_frame(frame.refs, frame.weights, sets)
-        t_reads = (
-            np.bincount(tenant_of, weights=frame.weights, minlength=n)
-            .astype(np.int64)
+        n = self.tenancy.n_tenants
+        tenant_of = tenant_of_refs(refs, self._tid_bases)
+        miss_tenant = tenant_of_refs(miss_refs, self._tid_bases)
+        counts = (
+            np.bincount(tenant_of, weights=weights, minlength=n).astype(np.int64),
+            np.bincount(tenant_of, minlength=n),
+            np.bincount(miss_tenant, minlength=n),
         )
-        t_accesses = np.bincount(tenant_of, minlength=n).astype(np.int64)
-        miss_tenant = tenant_of_refs(l1_res.miss_refs, self._tid_bases)
-        t_misses = np.bincount(miss_tenant, minlength=n).astype(np.int64)
+        starts = (np.flatnonzero(np.diff(miss_tenant)) + 1).tolist()
+        cuts = [0, *starts, len(miss_refs)]
+        runs = [
+            (int(miss_tenant[s]), s, e) for s, e in zip(cuts, cuts[1:]) if s < e
+        ]
+        return counts, runs
 
-        l2_acc = np.zeros((n, len(FRAME_L2_COLUMNS)), dtype=np.int64)
-        tlb_acc = np.zeros((n, len(FRAME_TLB_COLUMNS)), dtype=np.int64)
-        if self.l2 is not None:
-            l2_tile = self.config.l2.l2_tile_texels
-            gids, subs = self.space.l2_addresses(l1_res.miss_refs, l2_tile)
-            l2_parted = isinstance(self.l2, PartitionedL2)
-            tlb_parted = isinstance(self.tlb, PartitionedTLB)
-            seg_starts = np.concatenate(
-                [[0], np.flatnonzero(np.diff(miss_tenant)) + 1]
-            )
-            seg_ends = np.append(seg_starts[1:], len(gids))
-            for s, e in zip(seg_starts, seg_ends):
-                if s == e:
-                    continue
-                t = int(miss_tenant[s])
-                if self.tlb is not None:
-                    tlb_res = (
-                        self.tlb.access_frame(t, gids[s:e])
-                        if tlb_parted
-                        else self.tlb.access_frame(gids[s:e])
-                    )
-                    tlb_acc[t] += [tlb_res.accesses, tlb_res.hits]
-                l2_res = (
-                    self.l2.access_blocks(t, gids[s:e], subs[s:e])
-                    if l2_parted
-                    else self.l2.access_blocks(gids[s:e], subs[s:e])
-                )
-                l2_acc[t] += [
-                    getattr(l2_res, name) for name in FRAME_L2_COLUMNS
-                ]
+    def _levels(self, tenant: int | None):
+        """The L2 and TLB serving ``tenant`` (None: an untenanted run).
 
-        parts = []
-        for t in range(n):
-            part = FrameCacheStats(
-                texel_reads=int(t_reads[t]),
-                l1_accesses=int(t_accesses[t]),
-                l1_misses=int(t_misses[t]),
-            )
-            if self.l2 is not None:
-                part.l2 = L2FrameResult(*(int(v) for v in l2_acc[t]))
-                if self.tlb is not None:
-                    part.tlb = TLBFrameResult(*(int(v) for v in tlb_acc[t]))
-            parts.append(part)
-        stats = FrameCacheStats.merge(parts)
-        stats.tenants = TenantFrameStats(
-            texel_reads=t_reads,
-            l1_accesses=t_accesses,
-            l1_misses=t_misses,
-            l2_accesses=l2_acc[:, 0],
-            l2_full_hits=l2_acc[:, 1],
-            l2_partial_hits=l2_acc[:, 2],
-            l2_full_misses=l2_acc[:, 3],
-            l2_evictions=l2_acc[:, 4],
-            tlb_accesses=tlb_acc[:, 0],
-            tlb_hits=tlb_acc[:, 1],
-        )
-        if self.link is not None:
-            n_blocks = (
-                stats.l2.host_downloads if stats.l2 is not None else stats.l1_misses
-            )
-            stats.transfer = self.link.transfer_frame(n_blocks)
-        return stats
+        Looked up on every call rather than captured at construction, so
+        a level swapped in afterwards (the test oracle swaps them all) is
+        the one that runs.
+        """
+        l2, tlb = self.l2, self.tlb
+        if tenant is not None:
+            if self.tenancy.policy != "none":
+                l2 = l2.parts[tenant]
+            if self.tenancy.tlb_quotas is not None:
+                tlb = tlb.parts[tenant]
+        return l2, tlb
 
     def run_trace(
         self,
@@ -758,11 +736,10 @@ class MultiLevelTextureCache:
     ) -> TraceRunResult:
         """Simulate a whole animation, carrying cache state across frames.
 
-        ``trace`` may be an in-RAM :class:`~repro.trace.trace.Trace` or
-        any duck-typed equivalent (a mmap-backed
-        :class:`~repro.trace.stream.StreamingTrace`, a lazy tenant merge):
-        frames are consumed strictly one at a time by index, so an
-        out-of-core trace is simulated in bounded memory.
+        ``trace`` may hold its frames in RAM or build them on access (a
+        mmap-backed :class:`~repro.trace.stream.StreamingTrace`, a lazy
+        tenant merge): frames are consumed strictly one at a time by
+        index, so an out-of-core trace is simulated in bounded memory.
 
         With ``checkpoint_path`` and ``checkpoint_every > 0``, the full
         simulator state plus all completed frame stats are persisted

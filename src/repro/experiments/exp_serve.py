@@ -28,17 +28,6 @@ Contracts asserted rather than reported:
   slowdown under overload (the recorded margin is positive);
 * in the faults scenario, circuit breakers both trip and recover
   through a half-open probe.
-
-Finally, the same :func:`~repro.serve.scheduler.reweight` rule closes
-the roadmap's interleaver feedback loop: measured cache-contention
-slowdowns (:func:`repro.tenancy.metrics.slowdowns`) re-weight a
-``weighted`` :func:`~repro.tenancy.schedule.merge_traces` schedule for
-a few iterations from a deliberately mis-weighted start, and the
-worst-tenant slowdown trajectory is recorded. The loop is stable and
-bounded; the recorded trajectory also quantifies how *insensitive*
-cache contention is to interleave ratios (the serving layer's latency
-channel, not the cache channel, is where feedback pays off — which is
-why the measurable-improvement contract lives on the serving margin).
 """
 
 from __future__ import annotations
@@ -67,9 +56,7 @@ from repro.serve import (
     TenantSLO,
     bursty_arrivals,
     journal_json,
-    reweight,
 )
-from repro.tenancy import merge_traces, slowdowns
 from repro.tenancy.metrics import frame_costs_us
 from repro.texture.sampler import FilterMode
 
@@ -100,10 +87,6 @@ ARRIVAL_SEED = 11
 SERVE_SEED = 5
 CHAOS_SEED = 23
 FAULT_SEED = 3
-
-#: Interleaver feedback-loop iterations (roadmap item: fairness metrics
-#: feed the scheduler weights).
-INTERLEAVE_STEPS = 3
 
 
 def build_tenant_costs(scale: Scale) -> list[np.ndarray]:
@@ -325,60 +308,6 @@ def run_serve(scale: Scale | None = None) -> ExperimentResult:
             f"recoveries={faults['breaker_recoveries']}"
         )
 
-    # Interleaver feedback loop: cache-contention slowdowns re-weight a
-    # weighted merge schedule (roadmap: metrics feed the scheduler).
-    l2_bytes = scaled_l2_sizes(scale)[0][1]
-    shared_config = HierarchyConfig(
-        l1=L1CacheConfig(size_bytes=L1_LOW_BYTES),
-        l2=L2CacheConfig(size_bytes=l2_bytes, l2_tile_texels=16),
-        tlb_entries=16,
-    )
-    v_trace = get_trace("village", scale, FilterMode.BILINEAR)
-    c_trace = get_trace("city", scale, FilterMode.BILINEAR)
-    tenant_traces = [v_trace, c_trace, v_trace, c_trace]
-    iso_frames = [
-        simulate(t, shared_config).frames for t in tenant_traces
-    ]
-    # Start deliberately mis-weighted (first tenant 4x over-served) and
-    # let measured slowdowns drive the weights.
-    weights = [4.0, 1.0, 1.0, 1.0]
-    trajectory = []
-    from repro.tenancy import TenancyConfig
-
-    for _ in range(INTERLEAVE_STEPS):
-        merged, tid_bases = merge_traces(
-            tenant_traces,
-            schedule="weighted",
-            weights=weights,
-            seed=0,
-        )
-        config = HierarchyConfig(
-            l1=shared_config.l1,
-            l2=shared_config.l2,
-            tlb_entries=shared_config.tlb_entries,
-            tenancy=TenancyConfig(tid_bases=tid_bases),
-        )
-        sd = slowdowns(simulate(merged, config).frames, iso_frames)
-        trajectory.append(
-            {
-                "weights": [round(float(w), 6) for w in weights],
-                "slowdowns": [round(float(s), 6) for s in sd],
-                "worst": round(float(sd.max()), 6),
-            }
-        )
-        weights = [float(w) for w in reweight(weights, sd, alpha=0.5)]
-    interleave_worsts = [step["worst"] for step in trajectory]
-    # Spread of worst-tenant contention across the whole weight
-    # trajectory: how (in)sensitive the cache channel is to interleave
-    # ratios. The loop must stay bounded — weights are clamped by
-    # reweight itself, asserted here as a stability contract.
-    interleave_spread = max(interleave_worsts) - min(interleave_worsts)
-    for step in trajectory:
-        if any(not 0.0625 <= w <= 16.0 for w in step["weights"]):
-            raise AssertionError(
-                f"interleave feedback weights diverged: {step['weights']}"
-            )
-
     rows = []
     for payload in scenarios:
         m = by_id[payload["id"]]["metrics"]
@@ -414,10 +343,6 @@ def run_serve(scale: Scale | None = None) -> ExperimentResult:
             for payload in scenarios
         },
         "feedback_vs_static_margin": round(margin, 6),
-        "interleave_feedback": {
-            "trajectory": trajectory,
-            "worst_slowdown_spread": round(interleave_spread, 6),
-        },
         "determinism": {"byte_identical_scenarios": len(scenarios)},
     }
     note = (
@@ -428,12 +353,7 @@ def run_serve(scale: Scale | None = None) -> ExperimentResult:
         "with zero SLO violations, no queue exceeded its bound, and each "
         "supervised scenario matched its inline rerun byte for byte (all "
         "asserted). Feedback beats static weights on worst-tenant "
-        f"slowdown by {margin:.3f}. The weighted-interleave feedback loop "
-        "(fairness metrics driving merge weights, from a 4:1 mis-weighted "
-        "start) stayed stable and bounded; worst cache-contention "
-        f"slowdown moved only {interleave_spread:.4f} across the "
-        "trajectory — the cache channel is insensitive to interleave "
-        "ratios, so the QoS response rightly lives in the serving layer."
+        f"slowdown by {margin:.3f}."
     )
     return ExperimentResult(
         experiment_id="serve",

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.texture.tiling import L1_TILE_TEXELS, coarsen_refs
 
-__all__ = ["page_requests"]
+__all__ = ["first_touch", "page_requests"]
 
 
 def page_requests(refs: np.ndarray, page_texels: int) -> np.ndarray:
@@ -27,9 +27,14 @@ def page_requests(refs: np.ndarray, page_texels: int) -> np.ndarray:
         refs: the frame's packed 4x4-tile reference stream (the
             rasterizer's per-fragment footprint samples).
         page_texels: VT page edge in texels.
+
+    A frame read in consecutive blocks gets the same pages from
+    ``first_touch`` over the concatenated requests of its blocks.
     """
-    pages = coarsen_refs(refs, page_texels // L1_TILE_TEXELS)
-    if len(pages) == 0:
-        return pages
-    _, first = np.unique(pages, return_index=True)
-    return pages[np.sort(first)]
+    return first_touch(coarsen_refs(refs, page_texels // L1_TILE_TEXELS))
+
+
+def first_touch(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, in the order each first occurs."""
+    _, first = np.unique(values, return_index=True)
+    return values[np.sort(first)]

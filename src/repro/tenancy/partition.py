@@ -31,11 +31,10 @@ import numpy as np
 
 from repro.core.l2_cache import (
     L2CacheConfig,
-    L2FrameResult,
     L2TextureCache,
     SetAssociativeL2Cache,
 )
-from repro.core.tlb import TextureTableTLB, TLBFrameResult
+from repro.core.tlb import TextureTableTLB
 from repro.texture.tiling import AddressSpace
 
 __all__ = [
@@ -144,7 +143,10 @@ class TenancyConfig:
 
 
 class PartitionedL2:
-    """Strictly partitioned L2: one private sub-cache per tenant."""
+    """Strictly partitioned L2: one private sub-cache per tenant.
+
+    The hierarchy feeds each tenant's L1 misses to ``parts[tenant]``.
+    """
 
     def __init__(
         self,
@@ -189,12 +191,6 @@ class PartitionedL2:
                 for q in quotas
             ]
 
-    def access_blocks(
-        self, tenant: int, gids: np.ndarray, subs: np.ndarray
-    ) -> L2FrameResult:
-        """Run one tenant's segment through its private partition."""
-        return self.parts[tenant].access_blocks(gids, subs)
-
     def snapshot_state(self) -> dict:
         """Per-partition state for frame-granular checkpointing."""
         return {"parts": [p.snapshot_state() for p in self.parts]}
@@ -211,7 +207,10 @@ class PartitionedL2:
 
 
 class PartitionedTLB:
-    """Strictly partitioned TLB: one private sub-TLB per tenant."""
+    """Strictly partitioned TLB: one private sub-TLB per tenant.
+
+    The hierarchy translates each tenant's L1 misses in ``parts[tenant]``.
+    """
 
     def __init__(
         self,
@@ -227,10 +226,6 @@ class PartitionedTLB:
                 f"TLB quotas {quotas} exceed the {n_entries} entries"
             )
         self.parts = [TextureTableTLB(q, policy) for q in quotas]
-
-    def access_frame(self, tenant: int, gids: np.ndarray) -> TLBFrameResult:
-        """Translate one tenant's segment through its private sub-TLB."""
-        return self.parts[tenant].access_frame(gids)
 
     def snapshot_state(self) -> dict:
         """Per-partition state for frame-granular checkpointing."""

@@ -37,7 +37,7 @@ class TenantFrameStats:
     """One frame's transaction counts broken down by tenant.
 
     For the shared (unpartitioned) L2, ``l2_evictions`` attributes each
-    eviction to the tenant whose segment triggered it.
+    eviction to the tenant whose run of L1 misses triggered it.
     """
 
     texel_reads: np.ndarray

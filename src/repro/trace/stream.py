@@ -18,18 +18,21 @@ replays it through many cache configurations. A trace is a *directory*
   (:func:`~repro.reliability.integrity.array_checksum`).
 
 :class:`StreamTraceWriter` appends one :class:`FrameTrace` at a time,
-saving whole chunks straight from slices of the frame's arrays, and never
+saving whole chunks straight from slices of the frame's blocks, and never
 holds more than one chunk of pending data (a tail buffer), so
 ``Renderer.iter_frames() -> writer.append_frame()`` renders an arbitrarily
 long animation in bounded memory. :class:`StreamingTrace` is the reading
-counterpart: it duck-types :class:`~repro.trace.trace.Trace` (``meta``,
-``frames``, ``textures``, ``fingerprint`` …) and copies nothing to read a
-frame. A frame inside one chunk is a pair of read-only views of that
-mmap'd chunk; a frame that crosses chunk edges hands out its per-chunk
-views one at a time (:meth:`FrameTrace.blocks`, which the simulator walks)
-and concatenates them only if a consumer reads its whole ``refs`` or
-``weights``. Each chunk's CRC is verified once, on first touch. A corrupt
-chunk is moved into ``quarantine/`` and surfaces as
+counterpart: a :class:`~repro.trace.trace.Trace` whose lazy ``frames``
+copy nothing. A frame inside one chunk is a pair of read-only views of
+that mmap'd chunk; a frame that crosses chunk edges hands out its
+per-chunk views one at a time (:meth:`FrameTrace.blocks`). The simulator
+(L1, TLB, L2, VT and tenant attribution), the texel-read count, the
+fingerprint and the writer all walk those blocks. The frame concatenates
+its views only when a consumer reads its whole ``refs`` or ``weights``:
+the analytic models, the working-set and locality analyses, the push and
+streaming-architecture drivers, the tenant merge, and a few experiment
+and ``trace_info`` summaries. Each chunk's CRC is verified once, on first
+touch. A corrupt chunk is moved into ``quarantine/`` and surfaces as
 :class:`~repro.errors.TraceCorruptionError`. A frame that must outlive its
 directory is copied explicitly (:meth:`StreamingTrace.materialize`).
 
@@ -42,8 +45,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import sys
 import tempfile
-import zlib
 from functools import cached_property
 from pathlib import Path
 
@@ -52,7 +55,6 @@ import numpy as np
 from repro.errors import TraceCorruptionError, TraceFormatError
 from repro.reliability.integrity import ArrayCheck, VerifyReport, array_checksum
 from repro.texture.texture import Texture
-from repro.texture.tiling import AddressSpace
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
 
 __all__ = [
@@ -130,15 +132,21 @@ class StreamTraceWriter:
     def append_frame(self, frame: FrameTrace) -> None:
         """Append one frame's refs/weights to the stream.
 
-        Whole chunks are written straight from slices of the frame's
-        arrays; only a chunk that straddles frames passes through the tail
-        buffer.
+        The frame is read through :meth:`FrameTrace.blocks`, uncut except
+        where its storage is: an in-RAM frame arrives whole, and a frame
+        that spans chunks of another ``.stream`` (the ``render --jobs``
+        shard merge) arrives as its chunk views, never assembled. Whole
+        chunks are written straight from slices of a block; only a chunk
+        that straddles blocks passes through the tail buffer.
         """
         if self._closed:
             raise RuntimeError("writer is closed")
-        refs = np.asarray(frame.refs, dtype=np.int64)
-        weights = np.asarray(frame.weights, dtype=np.int64)
-        n = len(refs)
+        n = 0
+        for refs, weights in frame.blocks(sys.maxsize):
+            self._write(
+                np.asarray(refs, dtype=np.int64), np.asarray(weights, dtype=np.int64)
+            )
+            n += len(refs)
         self._total += n
         self._frame_starts.append(self._total)
         self._n_fragments.append(int(frame.n_fragments))
@@ -150,7 +158,10 @@ class StreamTraceWriter:
             self._has_offsets.append(False)
         self._offset_bounds.append(self._offset_bounds[-1] + len(self._offsets[-1]))
 
+    def _write(self, refs: np.ndarray, weights: np.ndarray) -> None:
+        """Add one block to the stream, flushing every chunk it completes."""
         chunk = self.chunk_refs
+        n = len(refs)
         pos = 0
         if self._pending:
             pos = min(chunk - self._pending, n)
@@ -321,8 +332,8 @@ class _SpanFrame(FrameTrace):
     :meth:`blocks` pulls its chunks through the trace's chunk cache one at
     a time, so simulating the frame copies nothing and maps no more than
     the cache holds. ``refs`` and ``weights`` concatenate the pieces on
-    first read, for consumers that need the whole frame as one array (VT,
-    tenancy merges, the analytic models).
+    first read, for consumers that need the whole frame as one array (the
+    module docstring lists them).
     """
 
     def __init__(
@@ -394,17 +405,14 @@ class _StreamFrames:
         )
 
 
-class StreamingTrace:
+class StreamingTrace(Trace):
     """Read side of a streamed trace directory.
 
-    Duck-types :class:`~repro.trace.trace.Trace` for every consumer in the
-    repository (cache hierarchy, tenancy merge, virtual texturing,
-    checkpointing): ``meta``, ``textures``, ``address_space``,
-    ``pixels_per_frame``, ``total_texel_reads()``, ``fingerprint()``, and a
-    lazy ``frames`` sequence that materializes one frame at a time from the
-    mmap'd chunks. Frames are views of those chunks, never copies (see the
-    module docstring), so peak memory is a few chunks regardless of trace
-    or frame length.
+    A :class:`~repro.trace.trace.Trace` whose ``frames`` is a lazy
+    sequence that builds one frame at a time from the mmap'd chunks.
+    Frames are views of those chunks, never copies (see the module
+    docstring), so peak memory is a few chunks regardless of trace or
+    frame length.
     """
 
     def __init__(self, path: str | os.PathLike, verify: bool = True):
@@ -425,22 +433,25 @@ class StreamingTrace:
                 f"expected {STREAM_VERSION}"
             )
         self.manifest = manifest
-        self.meta = TraceMeta(
-            workload=manifest["workload"],
-            width=manifest["width"],
-            height=manifest["height"],
-            filter_mode=manifest["filter_mode"],
-            n_frames=manifest["n_frames"],
+        super().__init__(
+            meta=TraceMeta(
+                workload=manifest["workload"],
+                width=manifest["width"],
+                height=manifest["height"],
+                filter_mode=manifest["filter_mode"],
+                n_frames=manifest["n_frames"],
+            ),
+            frames=_StreamFrames(self),
+            textures=[
+                Texture(
+                    name=t["name"],
+                    width=t["width"],
+                    height=t["height"],
+                    original_depth_bits=t["original_depth_bits"],
+                )
+                for t in manifest["textures"]
+            ],
         )
-        self.textures = [
-            Texture(
-                name=t["name"],
-                width=t["width"],
-                height=t["height"],
-                original_depth_bits=t["original_depth_bits"],
-            )
-            for t in manifest["textures"]
-        ]
         self.chunk_refs = int(manifest["chunk_refs"])
         self.n_chunks = int(manifest["n_chunks"])
         self.stream_length = int(manifest["stream_length"])
@@ -461,9 +472,6 @@ class StreamingTrace:
                 self.path, "index arrays inconsistent with the manifest"
             )
         self._chunks = _ChunkCache(self)
-        self.frames = _StreamFrames(self)
-        self._space: AddressSpace | None = None
-        self._fingerprint: int | None = None
 
     # ------------------------------------------------------------------
     def _index(self, name: str) -> np.ndarray:
@@ -513,43 +521,6 @@ class StreamingTrace:
         return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    @property
-    def address_space(self) -> AddressSpace:
-        if self._space is None:
-            self._space = AddressSpace(self.textures)
-        return self._space
-
-    @property
-    def pixels_per_frame(self) -> int:
-        return self.meta.width * self.meta.height
-
-    def total_texel_reads(self) -> int:
-        """Texel reads over the animation, summed chunk-wise."""
-        return int(
-            sum(
-                int(self._chunks.get("weights", ci).sum())
-                for ci in range(self.n_chunks)
-            )
-        )
-
-    def fingerprint(self) -> int:
-        """CRC32 over the reference stream — same chaining as ``Trace``.
-
-        Guarantees a streamed trace keys the same simulation-store entries
-        and checkpoints as its materialized twin. Each frame's chunk
-        pieces are CRC'd in place, refs then weights: the same bytes in
-        the same order, with no frame assembled.
-        """
-        if self._fingerprint is None:
-            crc = 0
-            bounds = self.frame_starts.tolist()
-            for start, stop in zip(bounds[:-1], bounds[1:]):
-                for kind in ("refs", "weights"):
-                    for piece in self._pieces(kind, start, stop, self.chunk_refs):
-                        crc = zlib.crc32(piece.view(np.uint8), crc)
-            self._fingerprint = crc
-        return self._fingerprint
-
     def materialize(self) -> Trace:
         """Load every frame into an in-RAM :class:`Trace`.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -57,8 +58,12 @@ class FrameTrace:
 
     @property
     def texel_reads(self) -> int:
-        """Total texel reads this frame (collapsed weights restored)."""
-        return int(self.weights.sum())
+        """Total texel reads this frame (collapsed weights restored).
+
+        Summed over blocks cut only where the frame's storage is, so a
+        streamed frame is never assembled to be counted.
+        """
+        return sum(int(w.sum()) for _, w in self.blocks(sys.maxsize))
 
     def blocks(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The frame's ``(refs, weights)`` in order, as views of at most
@@ -144,16 +149,20 @@ class Trace:
 
         Keys the persistent simulation store and binds checkpoints to the
         trace they were taken from, so same-shaped traces with different
-        content never alias.
+        content never alias. The CRC walks :meth:`FrameTrace.blocks`, so a
+        streamed trace hashes its chunk views in place to the same value
+        as its in-RAM twin.
         """
         if self._fingerprint is None:
             import zlib
 
             crc = 0
             for frame in self.frames:
-                for arr in (frame.refs, frame.weights):
-                    crc = zlib.crc32(
-                        np.ascontiguousarray(arr).reshape(-1).view(np.uint8), crc
-                    )
+                # Each frame's refs, then its weights, block by block.
+                for i in (0, 1):
+                    for block in frame.blocks(sys.maxsize):
+                        crc = zlib.crc32(
+                            np.ascontiguousarray(block[i]).view(np.uint8), crc
+                        )
             self._fingerprint = crc
         return self._fingerprint

@@ -6,10 +6,11 @@ coarser quarters the texel (and page) traffic while every surface still
 gets textured. This module makes that knob explicit so both the VT engine
 and the QoS serving layer shed load the same way:
 
-* :func:`shed_page_requests` coarsens a frame's visible-page set by a
-  whole-frame MIP bias — each requested page is replaced by its ancestor
-  ``bias`` levels up the MIP chain (first-touch order preserved, so
-  streamer state stays deterministic);
+* :func:`shed_page_requests` coarsens a frame's visible pages
+  (:func:`repro.raster.feedback.page_requests`) by a whole-frame MIP
+  bias — each requested page is replaced by its ancestor ``bias`` levels
+  up the MIP chain (first-touch order preserved, so streamer state stays
+  deterministic);
 * :func:`bias_cost_multiplier` is the matching cost model: the fraction
   of baseline texturing work that survives a given bias, used by the
   serving layer's load shedder to project how much an extra level of
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.raster.feedback import page_requests
+from repro.raster.feedback import first_touch
 
 __all__ = ["bias_cost_multiplier", "shed_page_requests"]
 
@@ -41,11 +42,10 @@ def bias_cost_multiplier(bias: int, falloff: float = MIP_FALLOFF) -> float:
     return falloff ** -bias
 
 
-def shed_page_requests(mega, refs: np.ndarray, bias: int) -> np.ndarray:
-    """Visible pages of one frame under a whole-frame shed MIP bias.
+def shed_page_requests(mega, pages: np.ndarray, bias: int) -> np.ndarray:
+    """One frame's visible ``pages`` under a whole-frame shed MIP bias.
 
-    With ``bias=0`` this is exactly
-    :func:`repro.raster.feedback.page_requests`. With a positive bias,
+    With ``bias=0`` the pages come back unchanged. With a positive bias,
     every requested page is replaced by its MIP ancestor ``bias`` levels
     coarser (clamped to each texture's coarsest level), then re-uniqued
     in first-touch order — several fine pages collapsing onto one coarse
@@ -53,7 +53,6 @@ def shed_page_requests(mega, refs: np.ndarray, bias: int) -> np.ndarray:
     """
     if bias < 0:
         raise ValueError(f"bias must be >= 0, got {bias}")
-    pages = page_requests(refs, mega.page_texels)
     if bias == 0 or len(pages) == 0:
         return pages
     from repro.texture.tiling import unpack_tile_refs
@@ -63,5 +62,4 @@ def shed_page_requests(mega, refs: np.ndarray, bias: int) -> np.ndarray:
         f = unpack_tile_refs(np.int64(page))
         k = min(bias, mega.coarsest_mip(int(f.tid)) - int(f.mip))
         coarse[i] = mega.ancestor(int(page), k) if k > 0 else int(page)
-    _, first = np.unique(coarse, return_index=True)
-    return coarse[np.sort(first)]
+    return first_touch(coarse)

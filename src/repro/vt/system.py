@@ -5,7 +5,8 @@ streamer into one per-frame engine:
 
 1. **Feedback pass** — the frame's packed tile-reference stream is
    coarsened to first-touch-ordered unique visible pages
-   (:func:`repro.raster.feedback.page_requests`).
+   (:func:`repro.raster.feedback.page_requests`); the hierarchy builds
+   that list block by block and hands it to :meth:`run_frame`.
 2. **Page-store scrub** — under a chaos policy with ``bitflip_rate``,
    resident unpinned pages are deterministically damaged; damaged pages
    are quarantined (dropped from residency) and refetched.
@@ -194,10 +195,11 @@ class VirtualTextureSystem:
         self._frame = 0
 
     # ------------------------------------------------------------------
-    def run_frame(self, refs: np.ndarray, shed_bias: int = 0) -> FrameVtStats:
+    def run_frame(self, pages: np.ndarray, shed_bias: int = 0) -> FrameVtStats:
         """Page one frame; never blocks, always returns complete stats.
 
-        ``shed_bias`` is the load shedder's quality knob: a positive bias
+        ``pages`` are the frame's visible pages in first-touch order
+        (:func:`repro.raster.feedback.page_requests`). ``shed_bias`` is the load shedder's quality knob: a positive bias
         requests every visible page ``shed_bias`` MIP levels coarser
         (:func:`repro.vt.shed.shed_page_requests`), collapsing the page
         set and its streaming traffic. Biased frames are accounted as
@@ -207,7 +209,7 @@ class VirtualTextureSystem:
         config = self.config
         stats = FrameVtStats()
         pages = [
-            int(p) for p in shed_page_requests(self.mega, refs, shed_bias)
+            int(p) for p in shed_page_requests(self.mega, pages, shed_bias)
         ]
         stats.visible_pages = len(pages)
         if shed_bias > 0:

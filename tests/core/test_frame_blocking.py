@@ -16,6 +16,7 @@ from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
 from repro.reliability.faults import FaultModel
 from repro.reliability.transfer import TransferPolicy
+from repro.tenancy import TenancyConfig
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
@@ -64,6 +65,17 @@ CONFIGS = {
     "vt": HierarchyConfig(
         l1=L1CacheConfig(size_bytes=2048),
         vt=VtConfig(page_texels=16, max_resident_pages=8, max_in_flight=4),
+    ),
+    "tenants-shared": HierarchyConfig(
+        **_l2(tlb_entries=4, tenancy=TenancyConfig(tid_bases=(0, 1)))
+    ),
+    "tenants-way": HierarchyConfig(
+        **_l2(
+            tlb_entries=4,
+            tenancy=TenancyConfig(
+                tid_bases=(0, 1), policy="way", quotas=(4, 4), tlb_quotas=(2, 2)
+            ),
+        )
     ),
 }
 

@@ -1,12 +1,12 @@
 """A ``.stream`` trace simulates exactly like its in-RAM twin.
 
-``run_frame`` walks every frame through :meth:`FrameTrace.blocks`. A frame
-read from a ``.stream`` yields views of its mmap'd chunks, cut at every
-chunk edge as well as every ``FRAME_BLOCK`` refs, and is never copied; VT
-and the tenant path read its whole ``refs``, concatenated on demand. One
-trace is saved at several chunk lengths, with frames that are empty, sit
-inside one chunk and span three or more chunks, and every run must give
-the in-RAM trace's ``frames_to_columns`` and end state.
+``run_frame`` walks every frame through :meth:`FrameTrace.blocks`, VT's
+feedback pass and tenant attribution included. A frame read from a
+``.stream`` yields views of its mmap'd chunks, cut at every chunk edge as
+well as every ``FRAME_BLOCK`` refs, and is never copied. One trace is
+saved at several chunk lengths, with frames that are empty, sit inside
+one chunk and span three or more chunks, and every run must give the
+in-RAM trace's ``frames_to_columns`` and end state.
 """
 
 import numpy as np
@@ -26,7 +26,12 @@ from repro.reliability.transfer import TransferPolicy
 from repro.tenancy import TenancyConfig
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs
-from repro.trace.stream import DEFAULT_CHUNK_REFS, StreamingTrace, save_stream
+from repro.trace.stream import (
+    DEFAULT_CHUNK_REFS,
+    StreamingTrace,
+    _SpanFrame,
+    save_stream,
+)
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
 from repro.vt import VtConfig
 from tests.core.test_frame_blocking import assert_tree_equal
@@ -140,6 +145,23 @@ def test_stream_run_matches_in_ram(name, block, trace, stream, monkeypatch):
     assert want_cols["l1_misses"].sum() > 0
     if config.l2 is not None:
         assert want_cols["l2_evictions"].sum() > 0
+
+
+@pytest.mark.parametrize("name", ["vt", "tenancy"])
+def test_vt_and_tenant_runs_never_assemble_a_frame(
+    name, trace, stream, monkeypatch
+):
+    """A frame spanning chunks never fills its whole ``refs``/``weights``."""
+    want_cols, want_state = _run(CONFIGS[name], trace)
+
+    def assembled(frame):
+        raise AssertionError("a frame spanning chunks was concatenated")
+
+    monkeypatch.setattr(_SpanFrame, "refs", property(assembled))
+    monkeypatch.setattr(_SpanFrame, "weights", property(assembled))
+    got_cols, got_state = _run(CONFIGS[name], stream)
+    assert_columns_equal(got_cols, want_cols)
+    assert_tree_equal(got_state, want_state)
 
 
 def test_checkpoint_resume_over_stream(trace, stream, tmp_path):

@@ -4,7 +4,9 @@ The differential contract extends to tenancy: a merged multi-tenant stream
 simulated with the batched kernels must be bit-identical — including the
 per-tenant stat vectors — to the test oracle's per-access loops, for every
 partitioning policy, and a single-tenant "merge" with a full-cache quota
-must equal the plain single-tenant simulation.
+must equal the plain single-tenant simulation. Every oracle level that
+:func:`~tests.oracle.reference_hierarchy` installs must actually run, or
+the identity would hold vacuously.
 """
 
 import numpy as np
@@ -22,7 +24,13 @@ from repro.tenancy import (
     way_quotas,
 )
 
-from tests.oracle import reference_hierarchy
+from tests.oracle import (
+    ReferenceL1,
+    ReferenceL2,
+    ReferenceSetAssociativeL2,
+    ReferenceTLB,
+    reference_hierarchy,
+)
 
 L2 = L2CacheConfig(size_bytes=64 * 1024, l2_tile_texels=16)
 
@@ -113,6 +121,38 @@ class TestEngineIdentity:
             config, merged.address_space
         ).run_trace(merged)
         assert batched.frames == reference.frames
+
+
+class TestOracleReach:
+    @pytest.mark.parametrize("tlb_quotas", [None, (4, 4)], ids=["tlb", "tlb-parts"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_installed_oracle_runs(
+        self, merged_pair, village_trace, city_trace, policy, tlb_quotas, monkeypatch
+    ):
+        merged, bases = merged_pair
+        tenancy = _tenancy(policy, bases, [village_trace, city_trace], tlb_quotas)
+        sim = reference_hierarchy(_config(tenancy), merged.address_space)
+        levels = [(sim.l1, "access_frame", ReferenceL1)]
+        levels += [
+            (l2, "access_blocks", (ReferenceL2, ReferenceSetAssociativeL2))
+            for l2 in getattr(sim.l2, "parts", [sim.l2])
+        ]
+        levels += [
+            (tlb, "access_frame", ReferenceTLB)
+            for tlb in getattr(sim.tlb, "parts", [sim.tlb])
+        ]
+        served = [0] * len(levels)
+        for i, (level, method, oracle) in enumerate(levels):
+            assert isinstance(level, oracle), type(level).__name__
+            run = getattr(level, method)
+
+            def counted(refs, *rest, i=i, run=run):
+                served[i] += len(refs)
+                return run(refs, *rest)
+
+            monkeypatch.setattr(level, method, counted)
+        sim.run_trace(merged)
+        assert all(served), served
 
 
 class TestAttribution:

@@ -1,9 +1,11 @@
 """Byte identity and memory bound of :class:`StreamTraceWriter`.
 
-The writer saves whole chunks straight from slices of each frame's arrays
-and assembles only a chunk that straddles frames, in a one-chunk tail
-buffer. Chunk boundaries depend only on the concatenated stream, so every
-chunk file must equal ``np.save`` of that stream cut every ``chunk_refs``
+The writer reads each frame through :meth:`FrameTrace.blocks`, saves whole
+chunks straight from slices of those blocks, and assembles only a chunk
+that straddles blocks, in a one-chunk tail buffer. A frame re-appended
+from another stream (the ``render --jobs`` merge) is never concatenated.
+Chunk boundaries depend only on the concatenated stream, so every chunk
+file must equal ``np.save`` of that stream cut every ``chunk_refs``
 entries, however the frames split it.
 """
 
@@ -16,7 +18,12 @@ import pytest
 
 from repro.reliability.integrity import array_checksum
 from repro.texture.texture import Texture
-from repro.trace.stream import DEFAULT_CHUNK_REFS, StreamTraceWriter
+from repro.trace.stream import (
+    DEFAULT_CHUNK_REFS,
+    StreamingTrace,
+    StreamTraceWriter,
+    _SpanFrame,
+)
 from repro.trace.trace import FrameTrace, TraceMeta
 
 
@@ -103,3 +110,31 @@ def test_appending_a_three_chunk_frame_allocates_at_most_one_chunk(tmp_path):
     # several chunks.
     one_chunk = chunk * (body.refs.itemsize + body.weights.itemsize)
     assert peak <= 1.05 * one_chunk
+
+
+def test_reappending_a_spanning_stream_frame_allocates_at_most_one_chunk(
+    tmp_path,
+):
+    """The ``render --jobs`` merge: a shard frame that spans chunks goes
+    into the merged stream as its chunk views, byte-identically."""
+    chunk = 1 << 16
+    frames = make_frames([chunk // 2, 3 * chunk + chunk // 4])
+    write(tmp_path / "shard.stream", frames, chunk)
+    shard = StreamingTrace(tmp_path / "shard.stream")
+    head, body = shard.frames[0], shard.frames[1]
+    assert isinstance(body, _SpanFrame)
+    tracemalloc.start()
+    try:
+        write(tmp_path / "merged.stream", [head, body], chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The tail buffer plus np.save bookkeeping; concatenating the spanning
+    # frame would take over three chunks.
+    assert peak <= 1.05 * chunk * 16
+    for kind in ("refs", "weights"):
+        for ci in range(4):
+            name = f"{kind}_{ci:05d}.npy"
+            assert (tmp_path / "merged.stream" / name).read_bytes() == (
+                tmp_path / "shard.stream" / name
+            ).read_bytes(), name

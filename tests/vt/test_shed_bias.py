@@ -17,6 +17,11 @@ def make_mega(page_texels=16):
     return MegaTexture(space, page_texels=page_texels)
 
 
+def fine_pages(mega):
+    """The visible pages of :func:`fine_refs`."""
+    return page_requests(fine_refs(), mega.page_texels)
+
+
 def fine_refs():
     # Mip-0 tiles spanning four distinct pages of texture 1 (a 16-texel
     # page holds 4x4 tiles, so tile coords 0 and 4 land on neighbouring
@@ -52,17 +57,14 @@ class TestCostMultiplier:
 class TestShedPageRequests:
     def test_bias_zero_matches_page_requests(self):
         mega = make_mega()
-        refs = fine_refs()
-        assert np.array_equal(
-            shed_page_requests(mega, refs, 0),
-            page_requests(refs, mega.page_texels),
-        )
+        pages = fine_pages(mega)
+        assert np.array_equal(shed_page_requests(mega, pages, 0), pages)
 
     def test_bias_collapses_pages_onto_ancestors(self):
         mega = make_mega()
-        refs = fine_refs()
-        base = shed_page_requests(mega, refs, 0)
-        shed = shed_page_requests(mega, refs, 1)
+        pages = fine_pages(mega)
+        base = shed_page_requests(mega, pages, 0)
+        shed = shed_page_requests(mega, pages, 1)
         # Coarsening merges sibling pages: strictly fewer requests, and
         # every surviving page is one MIP level up (or clamped).
         assert len(shed) < len(base)
@@ -72,8 +74,8 @@ class TestShedPageRequests:
 
     def test_deep_bias_clamps_to_coarsest_level(self):
         mega = make_mega()
-        refs = fine_refs()
-        shed = shed_page_requests(mega, refs, 99)
+        pages = fine_pages(mega)
+        shed = shed_page_requests(mega, pages, 99)
         # One page per touched texture: everything collapsed to the tip.
         tids = {int(unpack_tile_refs(np.int64(int(p))).tid) for p in shed}
         assert tids == {0, 1}
@@ -83,10 +85,10 @@ class TestShedPageRequests:
 
     def test_first_touch_order_preserved(self):
         mega = make_mega()
-        refs = fine_refs()
-        shed = list(shed_page_requests(mega, refs, 1))
-        # Deterministic: same refs, same bias -> identical order.
-        assert shed == list(shed_page_requests(mega, refs, 1))
+        pages = fine_pages(mega)
+        shed = list(shed_page_requests(mega, pages, 1))
+        # Deterministic: same pages, same bias -> identical order.
+        assert shed == list(shed_page_requests(mega, pages, 1))
         # No duplicates survive the re-unique.
         assert len(shed) == len(set(shed))
 
@@ -98,4 +100,4 @@ class TestShedPageRequests:
     def test_validation(self):
         mega = make_mega()
         with pytest.raises(ValueError):
-            shed_page_requests(mega, fine_refs(), -1)
+            shed_page_requests(mega, fine_pages(mega), -1)

@@ -10,6 +10,7 @@ counters instead.
 import numpy as np
 import pytest
 
+from repro.raster.feedback import page_requests
 from repro.reliability.chaos import ChaosPolicy
 from repro.reliability.faults import FaultModel
 from repro.reliability.transfer import TransferPolicy
@@ -24,10 +25,12 @@ def make_space():
     return AddressSpace([Texture("big", 128, 128), Texture("small", 32, 32)])
 
 
-def full_refs(tid=0):
-    """Every mip-0 4x4 tile of the 128x128 texture (covers all 64 pages)."""
+def full_pages(tid=0):
+    """The visible pages of every mip-0 4x4 tile of the 128x128 texture
+    (all 64 pages), as the feedback pass hands them to ``run_frame``."""
     ys, xs = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
-    return pack_tile_refs(tid, 0, ys.ravel(), xs.ravel(), check=False)
+    refs = pack_tile_refs(tid, 0, ys.ravel(), xs.ravel(), check=False)
+    return page_requests(refs, 16)
 
 
 def make_config(**overrides):
@@ -74,7 +77,7 @@ class TestFrameVtStats:
 class TestCleanStreaming:
     def test_generous_budget_pages_everything_first_frame(self):
         vt = VirtualTextureSystem(make_config(), make_space())
-        stats = vt.run_frame(full_refs())
+        stats = vt.run_frame(full_pages())
         assert stats.visible_pages == N_PAGES
         assert stats.completed_fetches == N_PAGES
         assert stats.fetched_bytes == N_PAGES * 16 * 16 * 4
@@ -84,7 +87,7 @@ class TestCleanStreaming:
 
     def test_zero_budget_degrades_everything_without_blocking(self):
         vt = VirtualTextureSystem(make_config(frame_budget_us=0.0), make_space())
-        stats = vt.run_frame(full_refs())
+        stats = vt.run_frame(full_pages())
         assert stats.completed_fetches == 0
         assert stats.degraded_pages == stats.visible_pages == N_PAGES
         assert stats.mean_mip_bias > 0.0
@@ -94,17 +97,17 @@ class TestCleanStreaming:
         # Room for only 16 streamable pages; paging in 64 must evict.
         config = make_config(max_resident_pages=18)  # 2 pinned + 16
         vt = VirtualTextureSystem(config, make_space())
-        stats = vt.run_frame(full_refs())
+        stats = vt.run_frame(full_pages())
         assert stats.evictions == N_PAGES - 16
         assert stats.resident_pages == 18
 
     def test_backpressure_defers_excess_requests(self):
         vt = VirtualTextureSystem(make_config(max_in_flight=4), make_space())
-        stats = vt.run_frame(full_refs())
+        stats = vt.run_frame(full_pages())
         assert stats.requested_pages == 4
         assert stats.deferred == N_PAGES - 4
         # Still-missing visible pages are simply re-requested next frame.
-        again = vt.run_frame(full_refs())
+        again = vt.run_frame(full_pages())
         assert again.requested_pages == 4
         assert again.stalls == stats.stalls == 0
 
@@ -117,7 +120,7 @@ class TestFaultTolerance:
             chaos=ChaosPolicy(seed=7, kill_rate=1.0, max_attempt=1),
         )
         vt = VirtualTextureSystem(config, make_space())
-        stats = vt.run_frame(full_refs())
+        stats = vt.run_frame(full_pages())
         # Every page needed a retry, and every retry fit the budget.
         assert stats.failed_attempts == N_PAGES
         assert stats.completed_fetches == N_PAGES
@@ -131,7 +134,7 @@ class TestFaultTolerance:
             policy=TransferPolicy(max_retries=1),
         )
         vt = VirtualTextureSystem(config, make_space())
-        frames = [vt.run_frame(full_refs()) for _ in range(3)]
+        frames = [vt.run_frame(full_pages()) for _ in range(3)]
         for stats in frames:
             assert stats.completed_fetches == 0
             assert stats.degraded_pages == stats.visible_pages
@@ -146,7 +149,7 @@ class TestFaultTolerance:
             frame_budget_us=100.0, fetch_latency_us=1000.0, timeout_frames=2
         )
         vt = VirtualTextureSystem(config, make_space())
-        frames = [vt.run_frame(full_refs()) for _ in range(6)]
+        frames = [vt.run_frame(full_pages()) for _ in range(6)]
         assert sum(f.timed_out for f in frames) > 0
         for stats in frames:
             assert stats.completed_fetches == 0
@@ -158,9 +161,9 @@ class TestFaultTolerance:
             chaos=ChaosPolicy(seed=11, bitflip_rate=1.0)  # damage everything
         )
         vt = VirtualTextureSystem(config, make_space())
-        first = vt.run_frame(full_refs())
+        first = vt.run_frame(full_pages())
         assert first.quarantined == 0  # nothing resident to damage yet
-        second = vt.run_frame(full_refs())
+        second = vt.run_frame(full_pages())
         # Every unpinned resident page was damaged, quarantined, and — the
         # budget being generous — refetched within the same frame.
         assert second.quarantined == N_PAGES
@@ -187,14 +190,14 @@ class TestFaultTolerance:
             ),
         )
         vt = VirtualTextureSystem(config, make_space())
-        frames = [vt.run_frame(full_refs()) for _ in range(10)]
+        frames = [vt.run_frame(full_pages()) for _ in range(10)]
         assert all(f.stalls == 0 for f in frames)  # stall-free rate 1.0
         assert sum(f.degraded_pages for f in frames) > 0
         assert sum(f.completed_fetches for f in frames) > 0
         assert sum(f.quarantined for f in frames) > 0
         # Deterministic: the identical config replays the identical run.
         replay = VirtualTextureSystem(config, make_space())
-        assert [replay.run_frame(full_refs()) for _ in range(10)] == frames
+        assert [replay.run_frame(full_pages()) for _ in range(10)] == frames
 
 
 def canon(node):
@@ -224,18 +227,18 @@ class TestSnapshotRestore:
     def test_restore_resumes_bit_identically(self, boundary):
         config = self.chaotic_config()
         space = make_space()
-        refs = full_refs()
+        pages = full_pages()
 
         baseline = VirtualTextureSystem(config, space)
-        expected = [baseline.run_frame(refs) for _ in range(7)]
+        expected = [baseline.run_frame(pages) for _ in range(7)]
 
         first = VirtualTextureSystem(config, space)
-        head = [first.run_frame(refs) for _ in range(boundary)]
+        head = [first.run_frame(pages) for _ in range(boundary)]
         state = first.snapshot_state()
 
         second = VirtualTextureSystem(config, space)
         second.restore_state(state)
-        tail = [second.run_frame(refs) for _ in range(7 - boundary)]
+        tail = [second.run_frame(pages) for _ in range(7 - boundary)]
 
         assert head + tail == expected
         assert canon(second.snapshot_state()) == canon(baseline.snapshot_state())
@@ -243,7 +246,7 @@ class TestSnapshotRestore:
     def test_snapshot_carries_inflight_queue_and_rng(self):
         config = self.chaotic_config()
         vt = VirtualTextureSystem(config, make_space())
-        vt.run_frame(full_refs())
+        vt.run_frame(full_pages())
         state = vt.snapshot_state()
         assert state["frame"] == 1
         assert len(state["streamer"]["page"]) == len(vt.streamer)
