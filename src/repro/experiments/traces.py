@@ -245,8 +245,7 @@ def render_trace_stream(
     with StreamTraceWriter(
         path, meta, wl.scene.manager.textures, chunk_refs=chunk_refs
     ) as writer:
-        for out in renderer.iter_frames(wl.cameras(scale.frames)):
-            writer.append_frame(out.trace)
+        renderer.write_frames(wl.cameras(scale.frames), writer)
     return StreamingTrace(path)
 
 

@@ -7,7 +7,7 @@ boundaries fall at fixed global offsets, never at frame boundaries). So a
 camera path can be sharded into contiguous frame ranges, each range
 rendered in its own worker process, and the shard streams merged back in
 frame order — and the merged directory is **byte-identical** to a serial
-``Renderer.iter_frames()`` render through the same writer: same chunk
+``Renderer.write_frames()`` render through the same writer: same chunk
 files, same index arrays, same manifest CRCs.
 
 The workers run under the generic self-healing supervisor
@@ -144,9 +144,9 @@ class _ShardRunner(TaskRunner):
         with StreamTraceWriter(
             path, shard_meta, textures, chunk_refs=self.chunk_refs
         ) as writer:
-            cams = self._cameras[payload.lo : payload.hi]
-            for out in self._renderer.iter_frames(cams):
-                writer.append_frame(out.trace)
+            self._renderer.write_frames(
+                self._cameras[payload.lo : payload.hi], writer
+            )
         return str(path)
 
 
@@ -187,8 +187,7 @@ def render_stream_parallel(
         with StreamTraceWriter(
             path, meta, renderer.manager.textures, chunk_refs=chunk_refs
         ) as writer:
-            for out in renderer.iter_frames(cameras[:n_frames]):
-                writer.append_frame(out.trace)
+            renderer.write_frames(cameras[:n_frames], writer)
         return path
 
     path.parent.mkdir(parents=True, exist_ok=True)

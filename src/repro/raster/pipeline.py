@@ -9,16 +9,19 @@ pixels into a framebuffer (Fig 12 snapshots) and/or applies the §6
 z-before-texture optimization.
 
 Rasterization is batched: triangle setup and edge testing are vectorized
-across all of a frame's triangles (:mod:`repro.raster.batch`). References
-are emitted in cache-sized blocks of the frame's fragments — one
-footprint call per texture binding per block, then one run collapse per
-instance — straight into the frame's own arrays. The differential suite
+across a group of consecutive triangles (:mod:`repro.raster.batch`), and
+a frame is rasterized in groups of bounded bounding-box area, so no
+array sized to the frame's fragments exists. Each group's references
+are emitted before the next group is rasterized, in cache-sized blocks
+of its fragments — one footprint call per texture binding per block,
+then one run collapse per instance — straight into the frame's own
+arrays. The differential suite
 proves the emitted fragment and reference streams bit-identical to a
 per-triangle renderer kept in the test-only oracle (``tests/oracle/``).
 
-:meth:`Renderer.iter_frames` yields one :class:`FrameOutput` at a time —
-together with the streaming trace writer (:mod:`repro.trace.stream`) a
-full-scale animation renders in bounded memory.
+:meth:`Renderer.write_frames` hands each frame to the streaming trace
+writer (:mod:`repro.trace.stream`) and drops it before rendering the
+next, so a full-scale animation renders in bounded memory.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ __all__ = ["RenderOptions", "FrameOutput", "Renderer"]
 #: then total 1 MB, and its temporaries stay in a per-core L2
 #: (DESIGN §12.3).
 FRAGMENT_BLOCK = 1 << 14
+
+#: Clamped bounding-box pixels per rasterizer call. A 1024x768 City
+#: frame then takes up to four calls; smaller groups fault in more fresh
+#: pages and render it slower (DESIGN §12.3).
+GROUP_PIXELS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -148,12 +156,22 @@ class Renderer:
     def iter_frames(self, cameras: Sequence[Camera]) -> Iterator[FrameOutput]:
         """Render camera poses one frame at a time (generator).
 
-        Yields each :class:`FrameOutput` as soon as it is rendered, so a
-        consumer that streams traces to disk (or aggregates statistics)
-        never holds more than one frame — images included — in memory.
+        Yields each :class:`FrameOutput` as soon as it is rendered. A
+        ``for out in iter_frames(...)`` loop still holds the previous
+        frame in ``out`` while the next one renders, so it keeps two
+        frames alive; :meth:`write_frames` keeps one.
         """
         for cam in cameras:
             yield self.render_frame(cam)
+
+    def write_frames(self, cameras: Sequence[Camera], writer) -> None:
+        """Render camera poses straight into ``writer.append_frame``.
+
+        No reference to a frame outlives its ``append_frame`` call, so the
+        previous frame is freed before the next one renders.
+        """
+        for cam in cameras:
+            writer.append_frame(self.render_frame(cam).trace)
 
     def render_frame(self, camera: Camera) -> FrameOutput:
         """Render one frame; returns its trace (and image when shading)."""
@@ -171,8 +189,8 @@ class Renderer:
         # *registered* here (their vertex data appended to frame-wide
         # arrays); clip pieces become one-triangle entries after the same
         # clip-space-to-screen transform the test oracle's per-triangle
-        # renderer applies. ``items``
-        # remembers per-instance emission order. Texture dims and
+        # renderer applies. ``plans`` holds each instance's contiguous
+        # triangle span, in emission order. Texture dims and
         # sidedness are constant per run, so they are kept as
         # (value, count) pairs and expanded once in phase 2.
         plans: list[tuple[MeshInstance, object, int, int]] = []
@@ -265,99 +283,133 @@ class Renderer:
                 # contiguous triangle span of the frame batch.
                 plans.append((inst, tex, inst_start, g_ntri))
 
-        # Phase 2 — one rasterizer call for the whole frame. Per-triangle
-        # texture dimensions and sidedness let instances with different
-        # bindings share the call; fragments come back grouped by triangle
-        # in registration (== emission) order.
-        if g_ntri:
-            gbatch = rasterize_triangles(
-                screen_xy=np.concatenate(g_screen),
-                inv_w=np.concatenate(g_invw),
-                uv=np.concatenate(g_uv),
-                z_ndc=np.concatenate(g_z),
-                width=w,
-                height=h,
-                tex_width=np.repeat(
-                    np.asarray(g_texw, dtype=np.float64), g_counts
-                ),
-                tex_height=np.repeat(
-                    np.asarray(g_texh, dtype=np.float64), g_counts
-                ),
-                double_sided=np.repeat(
-                    np.asarray(g_ds, dtype=bool), g_counts
-                ),
-                order=opt.order,
-            )
-            gcounts = gbatch.fragment_counts(g_ntri)
-            gbounds = np.concatenate(([0], np.cumsum(gcounts))).astype(np.int64)
-
-        # Phase 3 — walk instances in emission order, slicing each one's
-        # fragment ranges out of the frame batch (through the depth test
-        # when enabled), then emit the references of all of them in
-        # cache-sized blocks straight into the frame's arrays.
-        segments: list[_Segment] = []
+        # Phase 2 — rasterize the registered triangles in consecutive
+        # groups of at most GROUP_PIXELS clamped bounding-box pixels, one
+        # rasterizer call each, and emit each group's references before
+        # rasterizing the next, so no array sized to the frame's
+        # fragments exists. Per-triangle texture dimensions and sidedness
+        # let instances with different bindings share a call; fragments
+        # come back grouped by triangle in registration (== emission)
+        # order, and per-triangle output does not depend on how the frame
+        # is cut. A triangle's clamped bounding box bounds its fragments.
         n_fragments = 0
+        stream = _FrameStream(0)
+        if g_ntri:
+            screen_xy = np.concatenate(g_screen)
+            inv_w = np.concatenate(g_invw)
+            uv = np.concatenate(g_uv)
+            z_ndc = np.concatenate(g_z)
+            tex_w = np.repeat(np.asarray(g_texw, dtype=np.float64), g_counts)
+            tex_h = np.repeat(np.asarray(g_texh, dtype=np.float64), g_counts)
+            sided = np.repeat(np.asarray(g_ds, dtype=bool), g_counts)
+            area = _bbox_areas(screen_xy, w, h)
+            carea = np.concatenate(([0], np.cumsum(area)))
+            # Texel reads per fragment of each triangle's instance.
+            taps = texel_reads_per_fragment(opt.filter_mode)
+            reads = np.repeat(
+                [
+                    taps if inst.secondary_texture_id is None else 2 * taps
+                    for inst, _, _, _ in plans
+                ],
+                [te - ts for _, _, ts, te in plans],
+            )
 
-        for inst, tex, ts, te in plans:
-            rasterized += int(np.count_nonzero(gcounts[ts:te]))
-            lo, hi = int(gbounds[ts]), int(gbounds[te])
-            if lo == hi:
-                continue
-
-            if need_depth:
-                # Depth is sequential across triangles (a later triangle
-                # tests against earlier writes), so walk per-triangle
-                # slices of the batch in emission order; rasterization
-                # itself was still vectorized above.
-                kept: list[Fragments] = []
-                for s, e in zip(gbounds[ts:te], gbounds[ts + 1 : te + 1]):
-                    if s == e:
-                        continue
-                    piece = Fragments(
-                        xs=gbatch.xs[s:e],
-                        ys=gbatch.ys[s:e],
-                        z=gbatch.z[s:e],
-                        u=gbatch.u[s:e],
-                        v=gbatch.v[s:e],
-                        lod=gbatch.lod[s:e],
+            k = 0  # the first plan whose triangles are not all rasterized
+            done = 0  # fragments plan k has emitted in earlier groups
+            for gs, ge in _groups(carea):
+                batch = rasterize_triangles(
+                    screen_xy=screen_xy[gs:ge],
+                    inv_w=inv_w[gs:ge],
+                    uv=uv[gs:ge],
+                    z_ndc=z_ndc[gs:ge],
+                    width=w,
+                    height=h,
+                    tex_width=tex_w[gs:ge],
+                    tex_height=tex_h[gs:ge],
+                    double_sided=sided[gs:ge],
+                    order=opt.order,
+                )
+                counts = batch.fragment_counts(ge - gs)
+                bounds = np.concatenate(([0], np.cumsum(counts)))
+                if gs == 0:
+                    # Reserve the frame's arrays once: exact for this
+                    # group, bounding boxes for the rest, so a frame of
+                    # one group allocates exactly its texel reads.
+                    stream = _FrameStream(
+                        int(counts @ reads[:ge] + area[ge:] @ reads[ge:])
                     )
-                    if opt.z_before_texture:
-                        passed = depth.test_and_update(
-                            piece.ys, piece.xs, piece.z
-                        )
-                        piece = _select(piece, passed)
-                        if len(piece) == 0:
-                            continue
-                    n_fragments += len(piece)
-                    kept.append(piece)
-                    if opt.shade:
-                        self._shade(piece, inst, tex, depth, fb, opt)
-                if not kept:
-                    continue
-                u = np.concatenate([p.u for p in kept])
-                v = np.concatenate([p.v for p in kept])
-                lod = np.concatenate([p.lod for p in kept])
-            else:
-                n_fragments += hi - lo
-                u = gbatch.u[lo:hi]
-                v = gbatch.v[lo:hi]
-                lod = gbatch.lod[lo:hi]
-            segments.append(_Segment(inst, tex, u, v, lod))
 
-        refs, weights, offsets = _emit_references(
-            segments, self.manager, opt.filter_mode
-        )
-        trace = FrameTrace(
-            refs=refs,
-            weights=weights,
-            n_fragments=n_fragments,
-            object_offsets=offsets,
-        )
+                # Walk the instances this group holds triangles of, in
+                # emission order, slicing each one's share of the batch
+                # (through the depth test when enabled).
+                segments: list[_Segment] = []
+                while k < len(plans) and plans[k][2] < ge:
+                    inst, tex, ts, te = plans[k]
+                    a, b = max(ts, gs) - gs, min(te, ge) - gs
+                    rasterized += int(np.count_nonzero(counts[a:b]))
+                    if bounds[a] < bounds[b]:
+                        kept = self._texturing(
+                            batch, bounds[a : b + 1], inst, tex, depth, fb
+                        )
+                        if kept is not None:
+                            segments.append(_Segment(inst, tex, *kept, done))
+                            done += len(kept[0])
+                    if te > ge:
+                        break  # the instance continues in the next group
+                    k += 1
+                    done = 0
+                n_fragments += sum(len(seg.u) for seg in segments)
+                stream.emit(segments, self.manager, opt.filter_mode)
+                # Drop this group's fragments before rasterizing the next.
+                del batch, segments
+
+        trace = stream.finish(n_fragments)
         return FrameOutput(
             trace=trace,
             image=fb.as_uint8() if fb is not None else None,
             culled_instances=culled,
             rasterized_triangles=rasterized,
+        )
+
+    def _texturing(self, batch, bounds, inst, tex, depth, fb):
+        """One instance's share of a group batch that reaches texturing.
+
+        ``bounds`` are the batch offsets of the share's triangles. Returns
+        its ``(u, v, lod)``, or None when every fragment failed the depth
+        test.
+        """
+        opt = self.options
+        if depth is None:
+            lo, hi = bounds[0], bounds[-1]
+            return batch.u[lo:hi], batch.v[lo:hi], batch.lod[lo:hi]
+        # Depth is sequential across triangles (a later triangle tests
+        # against earlier writes), so walk per-triangle slices of the
+        # batch in emission order; rasterization itself was vectorized.
+        kept: list[Fragments] = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            if s == e:
+                continue
+            piece = Fragments(
+                xs=batch.xs[s:e],
+                ys=batch.ys[s:e],
+                z=batch.z[s:e],
+                u=batch.u[s:e],
+                v=batch.v[s:e],
+                lod=batch.lod[s:e],
+            )
+            if opt.z_before_texture:
+                passed = depth.test_and_update(piece.ys, piece.xs, piece.z)
+                piece = _select(piece, passed)
+                if len(piece) == 0:
+                    continue
+            kept.append(piece)
+            if opt.shade:
+                self._shade(piece, inst, tex, depth, fb, opt)
+        if not kept:
+            return None
+        return tuple(
+            np.concatenate([getattr(p, col) for p in kept])
+            for col in ("u", "v", "lod")
         )
 
     def _shade(self, frags, inst, tex, depth, fb, opt) -> None:
@@ -386,60 +438,103 @@ class Renderer:
 
 
 class _Segment(NamedTuple):
-    """One instance's fragments that reached texturing, in emission order."""
+    """One instance's fragments of one group that reached texturing.
+
+    ``done`` counts the instance's fragments emitted in earlier groups.
+    """
 
     inst: MeshInstance
     tex: Texture
     u: np.ndarray
     v: np.ndarray
     lod: np.ndarray
+    done: int
 
 
-def _emit_references(
-    segments: list[_Segment], manager: TextureManager, mode: FilterMode
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Footprint → collapse every segment into one frame stream.
+class _FrameStream:
+    """A frame's reference stream, filled group by group in emission order.
 
-    The segments' concatenated fragments are cut into blocks of
-    ``FRAGMENT_BLOCK``; a block holds pieces of one or more instances.
-    Each block's footprints are sampled with one call per texture binding
-    (:func:`_block_grids`), then every piece is collapsed, in emission
-    order, straight into frame-wide arrays sized for the most texel reads
-    the segments can make. An instance cut by a block edge continues in
-    the next block; when that piece starts with the instance's last ref,
-    it is written one entry back, over that run, whose weight it adds
-    back. So the stream equals one collapse per instance, and runs never
-    merge across instances (DESIGN §12.3).
-
-    Returns ``(refs, weights, object_offsets)``.
+    ``refs``/``weights`` are reserved once at ``bound`` entries, an upper
+    bound on the frame's texel reads; pages past what is written are
+    never touched. :meth:`emit` cuts a group's segments into blocks of
+    ``FRAGMENT_BLOCK`` fragments; a block holds pieces of one or more
+    instances. Each block's footprints are sampled with one call per
+    texture binding (:func:`_block_grids`), then every piece is
+    collapsed, in emission order, straight into the frame's arrays. An
+    instance cut by a block or group edge continues in the next piece;
+    when that piece starts with the instance's last ref, it is written
+    one entry back, over that run, whose weight it adds back. So the
+    stream equals one collapse per instance, and runs never merge across
+    instances (DESIGN §12.3).
     """
-    reads = texel_reads_per_fragment(mode)
-    bound = sum(
-        len(seg.u) * (reads if seg.inst.secondary_texture_id is None else 2 * reads)
-        for seg in segments
-    )
-    refs = np.empty(bound, dtype=np.int64)
-    weights = np.empty(bound, dtype=np.int64)
-    offsets: list[int] = []
-    pos = 0
-    for block in _blocks(segments):
-        for (_, start, _), grid in zip(block, _block_grids(block, manager, mode)):
-            at = pos
-            if start == 0:
-                offsets.append(pos)
-            elif grid[0, 0] == refs[pos - 1]:
-                at -= 1
-            carry = weights[at] if at < pos else 0
-            runs, _ = collapse_runs(
-                grid.reshape(-1), out=(refs[at:], weights[at:])
-            )
-            weights[at] += carry
-            pos = at + len(runs)
-    # Shrink in place: a realloc that gives back the unused tail without
-    # copying, so the frame's trace owns exactly its entries.
-    refs.resize(pos, refcheck=False)
-    weights.resize(pos, refcheck=False)
-    return refs, weights, np.array(offsets, dtype=np.int64)
+
+    def __init__(self, bound: int):
+        self.refs = np.empty(bound, dtype=np.int64)
+        self.weights = np.empty(bound, dtype=np.int64)
+        self.offsets: list[int] = []
+        self.pos = 0
+
+    def emit(
+        self, segments: list[_Segment], manager: TextureManager, mode: FilterMode
+    ) -> None:
+        refs, weights, pos = self.refs, self.weights, self.pos
+        for block in _blocks(segments):
+            for (seg, start, _), grid in zip(block, _block_grids(block, manager, mode)):
+                at = pos
+                if seg.done + start == 0:
+                    self.offsets.append(pos)
+                elif grid[0, 0] == refs[pos - 1]:
+                    at -= 1
+                carry = weights[at] if at < pos else 0
+                runs, _ = collapse_runs(
+                    grid.reshape(-1), out=(refs[at:], weights[at:])
+                )
+                weights[at] += carry
+                pos = at + len(runs)
+        self.pos = pos
+
+    def finish(self, n_fragments: int) -> FrameTrace:
+        # Shrink in place: a realloc that gives back the unused tail
+        # without copying, so the frame's trace owns exactly its entries.
+        self.refs.resize(self.pos, refcheck=False)
+        self.weights.resize(self.pos, refcheck=False)
+        return FrameTrace(
+            refs=self.refs,
+            weights=self.weights,
+            n_fragments=n_fragments,
+            object_offsets=np.array(self.offsets, dtype=np.int64),
+        )
+
+
+def _bbox_areas(screen_xy: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Each triangle's bounding box, clamped to the viewport, in pixels.
+
+    The same clamp as :func:`~repro.raster.batch.rasterize_triangles`, so
+    it bounds the triangle's fragments; a box with no pixel (NaN
+    included) counts 0.
+    """
+    size = np.array([width, height], dtype=np.float64)
+    p0, p1, p2 = screen_xy[:, 0], screen_xy[:, 1], screen_xy[:, 2]
+    lo = np.clip(np.floor(np.minimum(np.minimum(p0, p1), p2)), 0.0, size)
+    hi = np.clip(np.ceil(np.maximum(np.maximum(p0, p1), p2)), 0.0, size)
+    extent = np.where(hi > lo, hi - lo, 0.0)
+    return (extent[:, 0] * extent[:, 1]).astype(np.int64)
+
+
+def _groups(carea: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Cut triangles into consecutive groups of at most ``GROUP_PIXELS``.
+
+    ``carea`` is the running sum of the triangles' bounding-box areas,
+    with a leading 0. Yields ``(start, stop)`` triangle ranges; a
+    triangle larger than the budget is a group of its own.
+    """
+    n = len(carea) - 1
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(carea, carea[start] + GROUP_PIXELS, "right")) - 1
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
 
 
 def _blocks(segments: list[_Segment]) -> Iterator[list[tuple[_Segment, int, int]]]:

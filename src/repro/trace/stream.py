@@ -20,7 +20,7 @@ replays it through many cache configurations. A trace is a *directory*
 :class:`StreamTraceWriter` appends one :class:`FrameTrace` at a time,
 saving whole chunks straight from slices of the frame's blocks, and never
 holds more than one chunk of pending data (a tail buffer), so
-``Renderer.iter_frames() -> writer.append_frame()`` renders an arbitrarily
+``Renderer.write_frames(cameras, writer)`` renders an arbitrarily
 long animation in bounded memory. :class:`StreamingTrace` is the reading
 counterpart: a :class:`~repro.trace.trace.Trace` whose lazy ``frames``
 copy nothing. A frame inside one chunk is a pair of read-only views of
@@ -89,8 +89,7 @@ class StreamTraceWriter:
     Usage::
 
         with StreamTraceWriter(path, meta, textures) as w:
-            for out in renderer.iter_frames(cameras):
-                w.append_frame(out.trace)
+            renderer.write_frames(cameras, w)
 
     The target directory appears atomically on successful ``close()`` (the
     context manager calls it); on error the partial tmp directory is

@@ -23,7 +23,10 @@ class FrameTrace:
             collapsed, in rasterization order.
         weights: texel reads per entry (run lengths); ``weights.sum()`` is
             the frame's total texel reads.
-        n_fragments: rasterized fragments this frame (before any z test).
+        n_fragments: fragments textured this frame: every rasterized
+            fragment, or under ``z_before_texture`` only those that
+            passed the depth test (so the depth complexity of
+            :mod:`repro.trace.stats` then counts visible fragments).
         object_offsets: optional start indices (into ``refs``) of each
             rendered object's sub-stream, in submission order. Enables the
             §4 locality-class decomposition (intra-object vs intra-frame vs

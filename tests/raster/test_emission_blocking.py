@@ -8,6 +8,12 @@ into the frame's arrays. A piece that continues an instance cut by a
 block edge folds its first run into that instance's last run when they
 match; runs never merge across instances. So any block size must emit
 the same trace as the default, whose blocks hold these frames whole.
+
+The frame's triangles are rasterized in groups of at most
+``pipeline.GROUP_PIXELS`` bounding-box pixels, each group emitted before
+the next is rasterized, and an instance cut by a group edge continues
+exactly as across a block edge. So any group budget must give the same
+frame as the default, which holds these frames in one group.
 """
 
 import numpy as np
@@ -29,9 +35,16 @@ from tests.raster.test_pipeline import camera, simple_scene
 
 BLOCKS = (1, 7, 64)
 
+#: Group budgets in pixels: one triangle per group, and a few per group.
+GROUPS = (1, 1500)
+
 
 def render(instances, mgr, options, cams):
-    return [out.trace for out in Renderer(instances, mgr, options).iter_frames(cams)]
+    return [out.trace for out in render_outputs(instances, mgr, options, cams)]
+
+
+def render_outputs(instances, mgr, options, cams):
+    return list(Renderer(instances, mgr, options).iter_frames(cams))
 
 
 def assert_traces_equal(got, want, label):
@@ -163,3 +176,131 @@ def test_runs_never_merge_across_instances(block, monkeypatch):
         monkeypatch.setattr(pipeline, "FRAGMENT_BLOCK", block)
     (got,) = render(instances, mgr, opts, [camera()])
     assert_traces_equal([got], [want], f"FRAGMENT_BLOCK={block}")
+
+
+def count_group_fragments(monkeypatch):
+    """Record the fragments of every ``pipeline.rasterize_triangles`` call."""
+    calls: list[int] = []
+    rasterize = pipeline.rasterize_triangles
+
+    def counting(**kwargs):
+        batch = rasterize(**kwargs)
+        calls.append(len(batch))
+        return batch
+
+    monkeypatch.setattr(pipeline, "rasterize_triangles", counting)
+    return calls
+
+
+def assert_group_invariant(instances, mgr, options, cams, monkeypatch):
+    """Check every group budget against the default, images included.
+
+    Returns the fragments of each rasterizer call at one pixel per group.
+    """
+    want = render_outputs(instances, mgr, options, cams)
+    assert sum(len(out.trace.refs) for out in want) > 0
+    calls = count_group_fragments(monkeypatch)
+    for budget in GROUPS:
+        monkeypatch.setattr(pipeline, "GROUP_PIXELS", budget)
+        calls.clear()
+        got = render_outputs(instances, mgr, options, cams)
+        label = f"GROUP_PIXELS={budget}"
+        assert_traces_equal(
+            [out.trace for out in got], [out.trace for out in want], label
+        )
+        for g, w in zip(got, want):
+            assert g.rasterized_triangles == w.rasterized_triangles, label
+            assert g.culled_instances == w.culled_instances, label
+            if w.image is None:
+                assert g.image is None, label
+            else:
+                np.testing.assert_array_equal(g.image, w.image, err_msg=label)
+        if budget == 1:
+            one_px = list(calls)
+    return one_px
+
+
+@pytest.mark.parametrize("mode", list(FilterMode))
+def test_groups_filter_modes(mode, monkeypatch):
+    instances, mgr = simple_scene(two_quads=True)
+    opts = RenderOptions(width=32, height=32, filter_mode=mode)
+    (want,) = render_outputs(instances, mgr, opts, [camera()])
+    calls = assert_group_invariant(instances, mgr, opts, [camera()], monkeypatch)
+    # One call per triangle, whose fragments add up to the frame's.
+    assert len(calls) == 4
+    assert sum(calls) == want.trace.n_fragments
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        RenderOptions(
+            width=32, height=32, z_before_texture=True,
+            filter_mode=FilterMode.TRILINEAR,
+        ),
+        RenderOptions(width=32, height=32, shade=True),
+        RenderOptions(width=32, height=32, order=RasterOrder.TILED),
+    ],
+    ids=["z_before_texture", "shade", "tiled"],
+)
+def test_groups_pipeline_options(options, monkeypatch):
+    instances, mgr = simple_scene(with_images=options.shade, two_quads=True)
+    assert_group_invariant(instances, mgr, options, [camera()], monkeypatch)
+
+
+@pytest.mark.parametrize("z_first", [False, True], ids=["textured", "z_first"])
+def test_groups_village_with_lightmaps(z_first, monkeypatch):
+    wl = WORKLOAD_BUILDERS["village-mt"](detail=0.25)
+    opts = RenderOptions(
+        width=48, height=36, filter_mode=FilterMode.TRILINEAR,
+        z_before_texture=z_first,
+    )
+    cams = wl.cameras(1)
+    (want,) = render_outputs(wl.scene.instances, wl.scene.manager, opts, cams)
+    calls = assert_group_invariant(
+        wl.scene.instances, wl.scene.manager, opts, cams, monkeypatch
+    )
+    assert len(calls) > 1
+    if z_first:
+        # Fragments are counted after the depth test.
+        assert sum(calls) > want.trace.n_fragments
+    else:
+        assert sum(calls) == want.trace.n_fragments
+
+
+def hidden_then_visible():
+    """A front quad, then an instance whose first quad it hides entirely.
+
+    Under ``z_before_texture`` the second instance's first triangles
+    rasterize but emit nothing; its sub-stream starts at its second quad.
+    """
+    mgr = TextureManager()
+    front = mgr.load(Texture("front", 64, 64))
+    back = mgr.load(Texture("back", 64, 64))
+    hidden = make_quad(2.0, 2.0)
+    beside = make_quad(2.0, 2.0)
+    beside.positions[:, 0] += 3.0
+    instances = [
+        MeshInstance(make_quad(4.0, 4.0), translation(0, 0, 0), front),
+        MeshInstance(hidden.merged_with(beside), translation(0, 0, -3.0), back),
+    ]
+    return instances, mgr
+
+
+def test_groups_z_first_offsets_at_first_emitted_piece(monkeypatch):
+    instances, mgr = hidden_then_visible()
+    opts = RenderOptions(width=32, height=32, z_before_texture=True)
+    (want,) = [
+        out.trace
+        for out in ReferenceRenderer(instances, mgr, opts).iter_frames([camera()])
+    ]
+    assert len(want.object_offsets) == 2
+    calls = count_group_fragments(monkeypatch)
+    monkeypatch.setattr(pipeline, "GROUP_PIXELS", 1)
+    (got,) = render(instances, mgr, opts, [camera()])
+    assert_traces_equal([got], [want], "GROUP_PIXELS=1")
+    # The hidden quad's triangles rasterized fragments in groups of
+    # their own, and every one of them failed the depth test.
+    assert len(calls) == 6
+    assert all(calls)
+    assert sum(calls) > got.n_fragments

@@ -1,5 +1,7 @@
 """Integration tests for the rendering/tracing pipeline."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,10 @@ from repro.geometry.camera import Camera
 from repro.geometry.mesh import MeshInstance
 from repro.geometry.primitives import make_quad
 from repro.geometry.transforms import translation
+from repro.experiments import traces
+from repro.experiments.config import Scale
+from repro.experiments.traces import render_trace_stream
+from repro.raster.parallel import render_stream_parallel
 from repro.raster.pipeline import RenderOptions, Renderer
 from repro.raster.rasterizer import RasterOrder
 from repro.texture.manager import TextureManager
@@ -14,6 +20,7 @@ from repro.texture.procedural import checker_texture
 from repro.texture.sampler import FilterMode
 from repro.texture.texture import Texture
 from repro.texture.tiling import unpack_tile_refs
+from repro.trace.trace import TraceMeta
 
 
 def simple_scene(with_images=False, two_quads=False):
@@ -178,3 +185,69 @@ class TestTiledOrder:
         assert a.n_fragments == b.n_fragments
         # Same set of tiles, possibly different order.
         assert np.array_equal(np.unique(a.refs), np.unique(b.refs))
+
+
+def watch_frames(monkeypatch):
+    """Count, as each ``render_frame`` starts, the earlier traces alive."""
+    live: list[int] = []
+    refs: list[weakref.ref] = []
+    render = Renderer.render_frame
+
+    def watching(self, cam):
+        live.append(sum(r() is not None for r in refs))
+        out = render(self, cam)
+        refs.append(weakref.ref(out.trace))
+        return out
+
+    monkeypatch.setattr(Renderer, "render_frame", watching)
+    return live
+
+
+class _Sink:
+    def __init__(self):
+        self.n_fragments: list[int] = []
+
+    def append_frame(self, frame):
+        self.n_fragments.append(frame.n_fragments)
+
+
+class TestWriteFrames:
+    def test_previous_frame_dead_when_next_renders(self, monkeypatch):
+        instances, mgr = simple_scene(two_quads=True)
+        r = Renderer(instances, mgr, RenderOptions(width=32, height=32))
+        live = watch_frames(monkeypatch)
+        sink = _Sink()
+        r.write_frames([camera()] * 3, sink)
+        assert len(sink.n_fragments) == 3 and min(sink.n_fragments) > 0
+        assert live == [0, 0, 0]
+
+    def test_iter_frames_loop_holds_previous_frame(self, monkeypatch):
+        # The pattern write_frames replaces: the loop variable keeps the
+        # previous frame alive while the next one renders.
+        instances, mgr = simple_scene(two_quads=True)
+        r = Renderer(instances, mgr, RenderOptions(width=32, height=32))
+        live = watch_frames(monkeypatch)
+        sink = _Sink()
+        for out in r.iter_frames([camera()] * 3):
+            sink.append_frame(out.trace)
+        assert live == [0, 1, 1]
+
+    def test_stream_renders_hold_one_frame(self, monkeypatch, tmp_path):
+        scale = Scale(width=48, height=36, frames=3, detail=0.2, name="micro")
+        live = watch_frames(monkeypatch)
+        trace = render_trace_stream(
+            "city", scale, FilterMode.POINT, tmp_path / "a.stream", workers=1
+        )
+        assert len(trace.frames) == 3
+        assert live == [0, 0, 0]
+        # The serial path of the parallel renderer.
+        live.clear()
+        meta = TraceMeta("city", 48, 36, FilterMode.POINT.value, 3)
+        render_stream_parallel(
+            traces._renderer_factory,
+            ("city", scale, FilterMode.POINT, False, False),
+            meta,
+            tmp_path / "b.stream",
+            jobs=1,
+        )
+        assert live == [0, 0, 0]
