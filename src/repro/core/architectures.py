@@ -25,8 +25,8 @@ from repro.core.hierarchy import (
 )
 from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
-from repro.texture.tiling import unpack_tile_refs
 from repro.trace.trace import Trace
+from repro.trace.workingset import frame_unique, texture_ids
 
 __all__ = [
     "PullArchitecture",
@@ -98,7 +98,7 @@ class PushArchitecture:
         out: list[PushFrameStats] = []
         prev: np.ndarray | None = None
         for frame in trace.frames:
-            tids = np.unique(unpack_tile_refs(frame.refs).tid)
+            tids = frame_unique(frame, texture_ids)
             memory = int(host_bytes[tids].sum())
             if prev is None:
                 new = tids

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.texture.tiling import unpack_tile_refs
 from repro.trace.trace import Trace
+from repro.trace.workingset import frame_unique, texture_ids
 
 __all__ = ["BudgetedPushResult", "BudgetedPushArchitecture"]
 
@@ -75,7 +75,7 @@ class BudgetedPushArchitecture:
         overflow = 0
 
         for fi, frame in enumerate(trace.frames):
-            needed = np.unique(unpack_tile_refs(frame.refs).tid).tolist()
+            needed = frame_unique(frame, texture_ids).tolist()
             needed_bytes = sum(host_bytes[t] for t in needed)
             if needed_bytes > self.budget_bytes:
                 overflow += 1

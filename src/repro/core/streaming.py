@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.hierarchy import FrameCacheStats, MultiLevelTextureCache
-from repro.texture.tiling import unpack_tile_refs
 from repro.trace.trace import Trace
+from repro.trace.workingset import frame_unique, texture_ids
 
 __all__ = ["StreamingFrameStats", "StreamingResult", "StreamingDriver"]
 
@@ -93,7 +93,7 @@ class StreamingDriver:
         """Drive the hierarchy over a trace, streaming idle textures out."""
         frames: list[StreamingFrameStats] = []
         for fi, frame in enumerate(trace.frames):
-            touched = np.unique(unpack_tile_refs(frame.refs).tid).tolist()
+            touched = frame_unique(frame, texture_ids).tolist()
             reloaded = [t for t in touched if t in self._deleted]
             for tid in reloaded:
                 # Re-load: the extent is valid again (same tstart/tlen; the

@@ -17,10 +17,9 @@ runs, which then finds every result memoized.
 
 from __future__ import annotations
 
-from repro.core.hierarchy import HierarchyConfig, MultiLevelTextureCache, TraceRunResult
+from repro.core.hierarchy import HierarchyConfig, TraceRunResult
 from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
-from repro.experiments import simstore
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -46,15 +45,8 @@ def _trace_key(trace: Trace) -> tuple:
 
 def simulate(trace: Trace, config: HierarchyConfig) -> TraceRunResult:
     """Run (or fetch) a hierarchy simulation for a trace."""
-    key = (_trace_key(trace), config)
-    if key not in _cache:
-        result = simstore.load(trace, config)
-        if result is None:
-            sim = MultiLevelTextureCache(config, trace.address_space)
-            result = sim.run_trace(trace)
-            simstore.save(trace, config, result)
-        _cache[key] = result
-    return _cache[key]
+    prewarm([(trace, config)])
+    return _cache[(_trace_key(trace), config)]
 
 
 def prewarm(

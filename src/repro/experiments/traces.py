@@ -1,18 +1,20 @@
 """Trace production and caching.
 
-Rendering is the expensive step; this module renders each (workload, scale,
-filter) combination once, memoizes it in process memory, and persists it to
-a disk cache of ``<key>.stream`` trace directories (``.trace_cache/`` at
-the repository root, overridable with ``$REPRO_TRACE_CACHE``; set it to
-``off`` to disable). The cache key embeds a scene version constant — bump
-it when scene builders change so stale traces are never reused.
+Rendering is the expensive step, so each (workload, scale, filter)
+combination is rendered once, straight into a ``<key>.stream`` slot of the
+trace cache (``.trace_cache/`` at the repository root, overridable with
+``$REPRO_TRACE_CACHE``; ``off`` renders into a per-process scratch
+directory removed at exit). :func:`get_trace` hands out that slot's
+:class:`~repro.trace.stream.StreamingTrace`, whose frames are views of
+the mmap'd chunks, so no experiment holds a copy of a trace in RAM. The
+cache key embeds a scene version constant — bump it when scene builders
+change so stale traces are never reused.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,18 +26,12 @@ from repro.raster.rasterizer import RasterOrder
 from repro.reliability.supervisor import SupervisorConfig, default_jobs
 from repro.scenes import WORKLOAD_BUILDERS
 from repro.texture.sampler import FilterMode
-from repro.trace.trace import Trace, TraceMeta
-from repro.trace.stream import (
-    DEFAULT_CHUNK_REFS,
-    StreamingTrace,
-    StreamTraceWriter,
-    save_stream,
-)
+from repro.trace.trace import TraceMeta
+from repro.trace.stream import DEFAULT_CHUNK_REFS, StreamingTrace
 from repro.experiments.config import Scale
 
 __all__ = [
     "get_trace",
-    "render_trace",
     "render_trace_stream",
     "resolve_render_jobs",
     "clamp_render_jobs",
@@ -45,18 +41,22 @@ __all__ = [
 #: Bump when scene builders or the rasterizer change behaviourally.
 SCENE_VERSION = 4
 
-_memory_cache: dict[tuple, Trace] = {}
+_memory_cache: dict[tuple, StreamingTrace] = {}
+_scratch: tempfile.TemporaryDirectory | None = None
 
 
 def clear_memory_cache() -> None:
-    """Drop in-process cached traces (tests use this to bound memory)."""
+    """Forget the traces opened in this process (the slots stay on disk)."""
     _memory_cache.clear()
 
 
-def _cache_dir() -> Path | None:
+def _cache_dir() -> Path:
+    global _scratch
     env = os.environ.get("REPRO_TRACE_CACHE", "").strip()
     if env.lower() == "off":
-        return None
+        if _scratch is None:
+            _scratch = tempfile.TemporaryDirectory(prefix="repro-traces-")
+        return Path(_scratch.name)
     if env:
         return Path(env)
     return Path(__file__).resolve().parents[3] / ".trace_cache"
@@ -81,9 +81,12 @@ def _cache_key(
     )
 
 
-def _build_renderer(
-    workload: str, scale: Scale, mode: FilterMode, z_first: bool, tiled: bool
-):
+def _renderer_factory(workload, scale, mode, z_first, tiled):
+    """Module-level (picklable) scene build for :func:`render_stream_parallel`.
+
+    Returns ``(Renderer, cameras)``; deterministic, so every worker
+    process rebuilding it sees the same scene and camera path.
+    """
     try:
         builder = WORKLOAD_BUILDERS[workload]
     except KeyError:
@@ -98,16 +101,7 @@ def _build_renderer(
         z_before_texture=z_first,
         order=RasterOrder.TILED if tiled else RasterOrder.SCANLINE,
     )
-    return Renderer(wl.scene.instances, wl.scene.manager, options), wl
-
-
-def _renderer_factory(workload, scale, mode, z_first, tiled):
-    """Module-level (picklable) scene build for parallel render workers.
-
-    Returns ``(Renderer, cameras)``; deterministic, so every worker
-    process rebuilding it sees the same scene and camera path.
-    """
-    renderer, wl = _build_renderer(workload, scale, mode, z_first, tiled)
+    renderer = Renderer(wl.scene.instances, wl.scene.manager, options)
     return renderer, wl.cameras(scale.frames)
 
 
@@ -144,62 +138,6 @@ def resolve_render_jobs() -> int:
     return 1
 
 
-def render_trace(
-    workload: str,
-    scale: Scale,
-    mode: FilterMode,
-    z_first: bool = False,
-    tiled: bool = False,
-    workers: int | None = None,
-) -> Trace:
-    """Render a trace from scratch (no caching).
-
-    ``z_first`` enables the §6 z-before-texture optimization; ``tiled``
-    switches rasterization to tiled fragment order (the Hakura ablation).
-    Variant traces carry a suffixed workload name so downstream simulation
-    caches never confuse them with baseline traces.
-
-    ``workers`` > 1 renders frame shards in supervised parallel processes
-    (:mod:`repro.raster.parallel`; default from ``$REPRO_JOBS``) —
-    frames are independent, so results are bit-identical to a serial
-    render. Use it to make ``Scale.paper()`` renders practical.
-    """
-    workers = resolve_render_jobs() if workers is None else max(workers, 1)
-    meta = TraceMeta(
-        workload=workload + _variant_suffix(z_first, tiled),
-        width=scale.width,
-        height=scale.height,
-        filter_mode=mode.value,
-        n_frames=scale.frames,
-    )
-    if workers > 1 and scale.frames > 1:
-        # Render through the supervised shard pipeline into a scratch
-        # stream, then materialize: stream frames are views of its mmap'd
-        # chunks, so the frames are copied to outlive the scratch directory.
-        tmp = tempfile.mkdtemp(prefix="repro-render-")
-        try:
-            stream_path = Path(tmp) / "trace.stream"
-            render_stream_parallel(
-                _renderer_factory,
-                (workload, scale, mode, z_first, tiled),
-                meta,
-                stream_path,
-                jobs=workers,
-            )
-            frames = StreamingTrace(stream_path).materialize().frames
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-        # The texture set comes from a local (cheap) scene build.
-        _, wl = _build_renderer(workload, scale, mode, z_first, tiled)
-        return Trace(meta=meta, frames=frames, textures=wl.scene.manager.textures)
-
-    renderer, wl = _build_renderer(workload, scale, mode, z_first, tiled)
-    frames = [
-        out.trace for out in renderer.iter_frames(wl.cameras(scale.frames))
-    ]
-    return Trace(meta=meta, frames=frames, textures=wl.scene.manager.textures)
-
-
 def render_trace_stream(
     workload: str,
     scale: Scale,
@@ -211,16 +149,20 @@ def render_trace_stream(
     chunk_refs: int = DEFAULT_CHUNK_REFS,
     supervisor: SupervisorConfig | None = None,
 ) -> StreamingTrace:
-    """Render straight to a streamed trace directory in bounded memory.
+    """Render a trace from scratch (no caching) into a ``.stream`` directory.
 
-    The out-of-core twin of :func:`render_trace` for paper-scale renders:
-    each frame goes from the renderer into the chunked on-disk stream and
+    ``z_first`` enables the §6 z-before-texture optimization; ``tiled``
+    switches rasterization to tiled fragment order (the Hakura ablation).
+    Variant traces carry a suffixed workload name so downstream simulation
+    caches never confuse them with baseline traces.
+
+    Each frame goes from the renderer into the chunked on-disk stream and
     is dropped, so peak RSS is one frame plus one chunk regardless of
-    animation length. With ``workers`` > 1 frame shards render in
-    supervised parallel processes (:mod:`repro.raster.parallel`) whose
-    per-shard streams merge in frame order. Either way the result is
-    byte-identical to ``save_stream(render_trace(...))`` — manifest CRCs
-    included.
+    animation length. With ``workers`` > 1 (default from ``$REPRO_JOBS``)
+    frame shards render in supervised parallel processes
+    (:mod:`repro.raster.parallel`) whose per-shard streams merge in frame
+    order; frames are independent, so the directory is byte-identical to a
+    serial render, manifest CRCs included.
     """
     workers = resolve_render_jobs() if workers is None else max(workers, 1)
     meta = TraceMeta(
@@ -230,22 +172,15 @@ def render_trace_stream(
         filter_mode=mode.value,
         n_frames=scale.frames,
     )
-    if workers > 1 and scale.frames > 1:
-        render_stream_parallel(
-            _renderer_factory,
-            (workload, scale, mode, z_first, tiled),
-            meta,
-            path,
-            jobs=workers,
-            chunk_refs=chunk_refs,
-            supervisor=supervisor,
-        )
-        return StreamingTrace(path)
-    renderer, wl = _build_renderer(workload, scale, mode, z_first, tiled)
-    with StreamTraceWriter(
-        path, meta, wl.scene.manager.textures, chunk_refs=chunk_refs
-    ) as writer:
-        renderer.write_frames(wl.cameras(scale.frames), writer)
+    render_stream_parallel(
+        _renderer_factory,
+        (workload, scale, mode, z_first, tiled),
+        meta,
+        path,
+        jobs=workers,
+        chunk_refs=chunk_refs,
+        supervisor=supervisor,
+    )
     return StreamingTrace(path)
 
 
@@ -273,42 +208,40 @@ def get_trace(
     mode: FilterMode,
     z_first: bool = False,
     tiled: bool = False,
-) -> Trace:
-    """Fetch a trace through the memory and disk caches.
+) -> StreamingTrace:
+    """The trace of this cache slot, rendered into it on a miss.
 
-    A corrupted or truncated disk-cache entry is quarantined (moved under
-    ``.trace_cache/quarantine/``) with a :class:`CorruptTraceWarning`, and
-    the trace is transparently re-rendered — a damaged cache never fails
-    or skews an experiment run.
+    A hit is opened and fingerprinted up front, which CRC-checks every
+    chunk before any experiment reads one. A corrupted or truncated entry
+    is quarantined (moved under ``<cache>/quarantine/``) with a
+    :class:`CorruptTraceWarning`, and the trace is transparently
+    re-rendered — a damaged cache never fails or skews an experiment run.
     """
     key = (workload, scale, mode, z_first, tiled)
     if key in _memory_cache:
         return _memory_cache[key]
 
-    cache_dir = _cache_dir()
-    path = None
-    if cache_dir is not None:
-        key_name = _cache_key(workload, scale, mode, z_first, tiled)
-        path = cache_dir / f"{key_name}.stream"
-        if path.exists():
-            try:
-                # Copies every frame: the memory cache must not pin mmaps
-                # of a directory that a re-render may replace.
-                trace = StreamingTrace(path).materialize()
-            except TraceCorruptionError as exc:
-                dest = quarantine_trace(path)
-                warnings.warn(
-                    f"cached trace {path.name} is corrupted ({exc.detail}); "
-                    f"quarantined to {dest} and re-rendering",
-                    CorruptTraceWarning,
-                    stacklevel=2,
-                )
-            else:
-                _memory_cache[key] = trace
-                return trace
+    key_name = _cache_key(workload, scale, mode, z_first, tiled)
+    path = _cache_dir() / f"{key_name}.stream"
+    if path.exists():
+        try:
+            trace = StreamingTrace(path)
+            trace.fingerprint()
+        except TraceCorruptionError as exc:
+            dest = quarantine_trace(path)
+            warnings.warn(
+                f"cached trace {path.name} is corrupted ({exc.detail}); "
+                f"quarantined to {dest} and re-rendering",
+                CorruptTraceWarning,
+                stacklevel=2,
+            )
+        else:
+            _memory_cache[key] = trace
+            return trace
 
-    trace = render_trace(workload, scale, mode, z_first=z_first, tiled=tiled)
+    # Atomic publish: rendered under a tmp sibling, then one os.replace.
+    trace = render_trace_stream(
+        workload, scale, mode, path, z_first=z_first, tiled=tiled
+    )
     _memory_cache[key] = trace
-    if path is not None:
-        save_stream(trace, path)  # atomic: tmp dir + os.replace
     return trace

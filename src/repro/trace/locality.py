@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.texture.tiling import L1_TILE_TEXELS, coarsen_refs
 from repro.trace.trace import Trace
+from repro.trace.workingset import frame_unique
 
 __all__ = [
     "LocalityBreakdown",
@@ -194,7 +195,7 @@ def frame_reuse_distance_histogram(
     bins["inf"] = 0
 
     for fi, frame in enumerate(trace.frames):
-        blocks = np.unique(coarsen_refs(frame.refs, factor))
+        blocks = frame_unique(frame, lambda refs: coarsen_refs(refs, factor))
         for b in blocks.tolist():
             seen = last_frame_seen.get(b)
             if seen is None:

@@ -27,17 +27,18 @@ copy nothing. A frame inside one chunk is a pair of read-only views of
 that mmap'd chunk; a frame that crosses chunk edges hands out its
 per-chunk views one at a time (:meth:`FrameTrace.blocks`). The simulator
 (L1, TLB, L2, VT and tenant attribution), the texel-read count, the
-fingerprint and the writer all walk those blocks. The frame concatenates
-its views only when a consumer reads its whole ``refs`` or ``weights``:
-the analytic models, the working-set and locality analyses, the push and
-streaming-architecture drivers, the tenant merge, and a few experiment
-and ``trace_info`` summaries. Each chunk's CRC is verified once, on first
-touch. A corrupt chunk is moved into ``quarantine/`` and surfaces as
-:class:`~repro.errors.TraceCorruptionError`. A frame that must outlive its
-directory is copied explicitly (:meth:`StreamingTrace.materialize`).
+fingerprint, the writer, the working-set and frame-distance analyses and
+the push and streaming-architecture drivers all walk those blocks. The
+frame concatenates its views only when a consumer reads its whole
+``refs`` or ``weights`` (the :class:`_SpanFrame` docstring lists them).
+Each chunk's CRC is verified once, on first touch. A corrupt chunk is
+moved into ``quarantine/`` and surfaces as
+:class:`~repro.errors.TraceCorruptionError`.
 
-The directory is written atomically (tmp dir + ``os.replace``), so readers
-never observe a half-written trace.
+Nothing copies a trace into RAM: the experiments' trace cache hands out
+the :class:`StreamingTrace` of its slot, so a frame is valid while its
+directory holds the same bytes. The directory is written atomically (tmp
+dir + ``os.replace``), so readers never observe a half-written trace.
 """
 
 from __future__ import annotations
@@ -331,8 +332,12 @@ class _SpanFrame(FrameTrace):
     :meth:`blocks` pulls its chunks through the trace's chunk cache one at
     a time, so simulating the frame copies nothing and maps no more than
     the cache holds. ``refs`` and ``weights`` concatenate the pieces on
-    first read, for consumers that need the whole frame as one array (the
-    module docstring lists them).
+    first read, for the consumers that still need the whole frame as one
+    array: the analytic models (``analytic/``), the per-object locality
+    classification (``trace/locality.py::classify_locality``), the tenant
+    merge (``tenancy/schedule.py``), the direct L1 loops of
+    ``experiments/exp_ablations.py``, ``exp_mrc``'s sample size and
+    ``trace_info tenants``.
     """
 
     def __init__(
@@ -520,24 +525,6 @@ class StreamingTrace(Trace):
         return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def materialize(self) -> Trace:
-        """Load every frame into an in-RAM :class:`Trace`.
-
-        Unlike ``frames[i]``, whose arrays are views of the mmap'd chunks,
-        these frames own copies of their arrays, so the trace outlives its
-        directory.
-        """
-        frames = [
-            FrameTrace(
-                refs=_owned(f.refs),
-                weights=_owned(f.weights),
-                n_fragments=f.n_fragments,
-                object_offsets=f.object_offsets,
-            )
-            for f in self.frames
-        ]
-        return Trace(meta=self.meta, frames=frames, textures=self.textures)
-
     def verify(self) -> VerifyReport:
         """Checksum every chunk and index file without quarantining.
 
@@ -587,11 +574,6 @@ class StreamingTrace(Trace):
         hi = min(lo + self.chunk_refs, self.stream_length)
         starts, stops = self.frame_starts[:-1], self.frame_starts[1:]
         return np.flatnonzero((starts < hi) & (stops > lo) & (stops > starts))
-
-
-def _owned(arr: np.ndarray) -> np.ndarray:
-    """``arr`` if it owns its buffer (a concatenation), else a copy."""
-    return arr if arr.flags.owndata else arr.copy()
 
 
 def open_trace(path: str | os.PathLike, verify: bool = True) -> StreamingTrace:

@@ -13,12 +13,17 @@ this frame), which is how the paper defines its Fig 4/5 curves:
 
 from __future__ import annotations
 
+import sys
+from typing import Callable
+
 import numpy as np
 
 from repro.texture.tiling import CACHE_TEXEL_BYTES, coarsen_refs, unpack_tile_refs, L1_TILE_TEXELS
-from repro.trace.trace import Trace
+from repro.trace.trace import FrameTrace, Trace
 
 __all__ = [
+    "frame_unique",
+    "texture_ids",
     "per_frame_unique_blocks",
     "per_frame_new_blocks",
     "l2_memory_curve",
@@ -36,6 +41,23 @@ def _factor(tile_texels: int) -> int:
     return tile_texels // L1_TILE_TEXELS
 
 
+def texture_ids(refs: np.ndarray) -> np.ndarray:
+    """The texture id of each packed reference."""
+    return unpack_tile_refs(refs).tid
+
+
+def frame_unique(
+    frame: FrameTrace, key: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Sorted unique ``key(refs)`` values over one frame.
+
+    Walks the frame's blocks as its storage cuts them, so a streamed frame
+    that spans chunks is deduplicated chunk by chunk, never concatenated.
+    """
+    parts = [np.unique(key(refs)) for refs, _ in frame.blocks(sys.maxsize)]
+    return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+
+
 def per_frame_unique_blocks(trace: Trace, tile_texels: int) -> list[np.ndarray]:
     """Sorted unique block ids touched each frame, at the given granularity.
 
@@ -43,7 +65,9 @@ def per_frame_unique_blocks(trace: Trace, tile_texels: int) -> list[np.ndarray]:
     blocks); ids are coarsened packed references, unique across textures.
     """
     factor = _factor(tile_texels)
-    return [np.unique(coarsen_refs(f.refs, factor)) for f in trace.frames]
+    return [
+        frame_unique(f, lambda refs: coarsen_refs(refs, factor)) for f in trace.frames
+    ]
 
 
 def per_frame_new_blocks(unique_sets: list[np.ndarray]) -> np.ndarray:
@@ -79,8 +103,7 @@ def push_memory_curve(trace: Trace) -> np.ndarray:
     host_bytes = np.array([t.host_bytes for t in trace.textures], dtype=np.int64)
     out = np.empty(len(trace.frames), dtype=np.int64)
     for i, frame in enumerate(trace.frames):
-        tids = np.unique(unpack_tile_refs(frame.refs).tid)
-        out[i] = int(host_bytes[tids].sum())
+        out[i] = int(host_bytes[frame_unique(frame, texture_ids)].sum())
     return out
 
 

@@ -27,7 +27,11 @@ def cache_path(isolated_trace_cache):
 class TestQuarantine:
     def test_corrupt_cache_entry_recovered(self, isolated_trace_cache):
         clear_memory_cache()
-        original = get_trace("city", MICRO, FilterMode.POINT)
+        # The returned trace maps the cache slot, so keep copies of its
+        # frames from before the slot is damaged.
+        original = [
+            f.refs.copy() for f in get_trace("city", MICRO, FilterMode.POINT).frames
+        ]
         path = cache_path(isolated_trace_cache)
         assert path.exists()
 
@@ -42,8 +46,9 @@ class TestQuarantine:
             recovered = get_trace("city", MICRO, FilterMode.POINT)
 
         # The run still succeeds, with an identical re-render...
-        for fa, fb in zip(original.frames, recovered.frames):
-            assert np.array_equal(fa.refs, fb.refs)
+        assert len(recovered.frames) == len(original)
+        for refs, frame in zip(original, recovered.frames):
+            assert np.array_equal(refs, frame.refs)
         # ...the poisoned entry moved to quarantine...
         qnames = [p.name for p in (isolated_trace_cache / "quarantine").iterdir()]
         assert path.name in qnames

@@ -15,7 +15,7 @@ from repro.core.architectures import (
 from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
 from repro.experiments.config import Scale
-from repro.experiments.traces import render_trace
+from repro.experiments.traces import render_trace_stream
 from repro.texture.sampler import FilterMode
 from repro.trace.stats import workload_stats
 from repro.trace.stream import StreamingTrace, save_stream
@@ -25,8 +25,9 @@ MICRO = Scale(width=96, height=72, frames=4, detail=0.25, name="micro")
 
 
 @pytest.fixture(scope="module")
-def village_trace():
-    return render_trace("village", MICRO, FilterMode.BILINEAR)
+def village_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("e2e") / "village.stream"
+    return render_trace_stream("village", MICRO, FilterMode.BILINEAR, path)
 
 
 class TestPipelineContracts:

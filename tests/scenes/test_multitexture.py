@@ -5,7 +5,7 @@ import pytest
 
 from repro.scenes import build_city, build_village
 from repro.experiments.config import Scale
-from repro.experiments.traces import render_trace
+from repro.experiments.traces import get_trace
 from repro.texture.sampler import FilterMode
 from repro.texture.tiling import unpack_tile_refs
 
@@ -32,7 +32,7 @@ class TestVillageMT:
         assert build_village(detail=0.3, multitexture=True).name == "village-mt"
 
     def test_trace_references_lightmaps(self):
-        trace = render_trace("village-mt", MICRO, FilterMode.POINT)
+        trace = get_trace("village-mt", MICRO, FilterMode.POINT)
         wl = build_village(detail=MICRO.detail, multitexture=True)
         lightmap_tids = {
             tid
@@ -45,8 +45,8 @@ class TestVillageMT:
         assert touched & lightmap_tids
 
     def test_mt_reads_exceed_plain(self):
-        plain = render_trace("village", MICRO, FilterMode.POINT)
-        mt = render_trace("village-mt", MICRO, FilterMode.POINT)
+        plain = get_trace("village", MICRO, FilterMode.POINT)
+        mt = get_trace("village-mt", MICRO, FilterMode.POINT)
         assert mt.total_texel_reads() > plain.total_texel_reads()
         # Fragment counts are identical: multi-texturing adds reads, not
         # coverage.

@@ -69,7 +69,7 @@ class TestTraceInfoVerify:
 
     def test_v2_trace_fails_as_unsupported(self, trace_file, tmp_path, capsys):
         old = tmp_path / "v2.npz"
-        save_v2(StreamingTrace(trace_file).materialize(), old)
+        save_v2(StreamingTrace(trace_file), old)
         raw = old.read_bytes()
         assert trace_info_main([str(old), "--verify"]) == 1
         out = capsys.readouterr().out

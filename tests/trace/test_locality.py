@@ -121,13 +121,15 @@ class TestClassification:
 
 
 class TestRenderedTraceIntegration:
-    def test_pipeline_traces_classify(self):
+    def test_pipeline_traces_classify(self, tmp_path):
         from repro.experiments.config import Scale
-        from repro.experiments.traces import render_trace
+        from repro.experiments.traces import render_trace_stream
         from repro.texture.sampler import FilterMode
 
         micro = Scale(width=64, height=48, frames=3, detail=0.2, name="micro")
-        trace = render_trace("village", micro, FilterMode.POINT)
+        trace = render_trace_stream(
+            "village", micro, FilterMode.POINT, tmp_path / "v.stream"
+        )
         b = classify_locality(trace, 16)
         # Locality-bearing rendering: the bulk of reads are run/intra-object.
         fr = b.fractions()

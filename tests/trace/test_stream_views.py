@@ -12,13 +12,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.architectures import PushArchitecture
 from repro.core.hierarchy import FRAME_BLOCK, HierarchyConfig, MultiLevelTextureCache
 from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
+from repro.core.push_manager import BudgetedPushArchitecture
+from repro.core.streaming import StreamingDriver
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs
-from repro.trace.stream import StreamingTrace, save_stream
+from repro.trace.locality import frame_reuse_distance_histogram
+from repro.trace.stream import StreamingTrace, _SpanFrame, save_stream
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
+from repro.trace.workingset import per_frame_unique_blocks, push_memory_curve
 
 SPACE = AddressSpace([Texture("a", 256, 256), Texture("b", 128, 128)])
 
@@ -91,16 +96,47 @@ class TestViews:
         empty = list(st.frames[2].blocks(40))
         assert len(empty) == 1 and len(empty[0][0]) == 0
 
-    def test_materialized_frames_own_their_arrays(self, tmp_path):
-        trace = _trace([30, 250, 10])
-        path = tmp_path / "t.stream"
-        save_stream(trace, path, chunk_refs=64)
-        st = StreamingTrace(path)
-        assert not st.frames[0].refs.flags.owndata
-        for got, want in zip(st.materialize().frames, trace.frames):
-            assert got.refs.flags.owndata and got.weights.flags.owndata
-            np.testing.assert_array_equal(got.refs, want.refs)
-            np.testing.assert_array_equal(got.weights, want.weights)
+
+def test_per_frame_unique_readers_never_concatenate(tmp_path, monkeypatch):
+    """Working-set, frame-distance and push/streaming accounting dedupe a
+    chunk-spanning frame chunk by chunk, never reading its whole arrays."""
+    trace = _trace([30, 250, 10, 140])
+    path = tmp_path / "t.stream"
+    save_stream(trace, path, chunk_refs=64)
+    st = StreamingTrace(path)
+    assert isinstance(st.frames[1], _SpanFrame)
+
+    def whole(self):
+        raise AssertionError("a whole span frame was read")
+
+    monkeypatch.setattr(_SpanFrame, "refs", property(whole))
+    monkeypatch.setattr(_SpanFrame, "weights", property(whole))
+
+    for tile in (4, 16):
+        for got, want in zip(
+            per_frame_unique_blocks(st, tile), per_frame_unique_blocks(trace, tile)
+        ):
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(push_memory_curve(st), push_memory_curve(trace))
+    assert frame_reuse_distance_histogram(st) == frame_reuse_distance_histogram(
+        trace
+    )
+    assert PushArchitecture().run(st) == PushArchitecture().run(trace)
+    budget = SPACE.textures[1].host_bytes + 1
+    a = BudgetedPushArchitecture(budget).run(st)
+    b = BudgetedPushArchitecture(budget).run(trace)
+    np.testing.assert_array_equal(a.download_bytes, b.download_bytes)
+    np.testing.assert_array_equal(a.resident_bytes, b.resident_bytes)
+    assert a.overflow_frames == b.overflow_frames
+    config = HierarchyConfig(
+        l1=L1CacheConfig(size_bytes=512),
+        l2=L2CacheConfig(size_bytes=64 * 1024, l2_tile_texels=16),
+    )
+    runs = [
+        StreamingDriver(MultiLevelTextureCache(config, SPACE), 1).run_trace(t)
+        for t in (st, trace)
+    ]
+    assert runs[0] == runs[1]
 
 
 def test_simulating_a_frame_allocates_less_than_the_frame(tmp_path):

@@ -58,7 +58,7 @@ class TestPersistence:
         t = make_trace()
         path = tmp_path / "t.stream"
         save_stream(t, path)
-        loaded = StreamingTrace(path).materialize()
+        loaded = StreamingTrace(path)
         assert loaded.meta == t.meta
         assert len(loaded.frames) == len(t.frames)
         for a, b in zip(loaded.frames, t.frames):

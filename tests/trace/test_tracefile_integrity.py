@@ -86,7 +86,10 @@ def assert_traces_equal(a, b):
 
 
 def load(path, **kw):
-    return open_trace(path, **kw).materialize()
+    """Open a trace and read every chunk (the fingerprint CRCs them all)."""
+    trace = open_trace(path, **kw)
+    trace.fingerprint()
+    return trace
 
 
 def flip_byte(path, offset):
