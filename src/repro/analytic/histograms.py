@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analytic.stack_distance import previous_occurrence, stack_distances
-from repro.texture.tiling import L1_TILE_TEXELS, coarsen_refs
+from repro.texture.tiling import L1_TILE_TEXELS, block_keys
 from repro.trace.locality import CLASSES
 from repro.trace.trace import Trace
 
@@ -100,7 +100,7 @@ def reuse_distance_histograms(
     factor = tile_texels // L1_TILE_TEXELS
     n_frames = len(trace.frames)
     frames = trace.frames
-    blocks_per_frame = [coarsen_refs(f.refs, factor) for f in frames]
+    blocks_per_frame = [block_keys(f.refs, factor) for f in frames]
     n = int(sum(len(b) for b in blocks_per_frame))
     have_objects = n_frames > 0 and all(
         f.object_offsets is not None for f in frames

@@ -21,6 +21,7 @@ Three sections:
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -58,6 +59,12 @@ def _fresh_sim_miss_rate(trace, l1_bytes: int) -> tuple[float, float]:
     return 1.0 - result.l1_hit_rate, time.perf_counter() - start
 
 
+def _stream_refs(trace) -> int:
+    """Collapsed refs in the trace, counted block by block so no frame that
+    spans chunks is assembled just to be measured."""
+    return sum(len(refs) for f in trace.frames for refs, _ in f.blocks(sys.maxsize))
+
+
 def _pick_sample(n_refs: int) -> float:
     """Halve the set-sampling rate until the sampled stream fits the target.
 
@@ -72,7 +79,7 @@ def _pick_sample(n_refs: int) -> float:
 
 
 def _fig9_section(trace, mode_name: str) -> tuple[str, dict]:
-    sample = _pick_sample(sum(len(f.refs) for f in trace.frames))
+    sample = _pick_sample(_stream_refs(trace))
     # Best of two runs on BOTH sides: the first call pays one-time
     # page-fault/allocator warm-up for large temporaries, and a noisy host
     # can slow either side arbitrarily — min-of-two measures the work, not

@@ -16,7 +16,13 @@ reference** packed into a single non-negative int64:
 
 Packing the finest granularity means one rendered trace serves every
 experiment: 8x8 L1 tiles (Fig 6) and 8x8/16x16/32x32 L2 blocks (Figs 4, 5,
-10) are all derived by shifting the tile coordinates.
+10) are all derived from it. :func:`block_keys` names a ref's coarse block
+with one AND that clears the low ``log2(factor)`` bits of ``tile_y`` and
+``tile_x``; the fields do not overlap and are packed most significant first,
+so two refs share a block exactly when their keys are equal, and keys sort
+in the order of the coarse refs. Counting or ordering blocks therefore
+works on keys, and :func:`coarsen_refs` (tile coordinates in coarse units)
+runs only on the few distinct keys left.
 
 :class:`AddressSpace` is the translation machinery: built over an ordered
 texture set, it converts packed references into ``<tid, L2, L1>`` virtual
@@ -48,6 +54,7 @@ __all__ = [
     "L2_TILE_CHOICES",
     "pack_tile_refs",
     "unpack_tile_refs",
+    "block_keys",
     "coarsen_refs",
     "set_index_dtype",
     "PackedRefFields",
@@ -124,21 +131,52 @@ def unpack_tile_refs(packed: np.ndarray) -> PackedRefFields:
     )
 
 
+def _coarse_shift(factor: int) -> int:
+    """``log2(factor)``; raises ``ValueError`` unless ``factor`` is a power of two."""
+    if factor < 1 or (factor & (factor - 1)):
+        raise ValueError(f"factor must be a positive power of two, got {factor}")
+    return factor.bit_length() - 1
+
+
+def block_keys(packed: np.ndarray, factor: int) -> np.ndarray:
+    """Key of the ``factor`` x ``factor``-tile block holding each reference.
+
+    One AND clears the low ``log2(factor)`` bits of ``tile_y`` and
+    ``tile_x``. Keys are equal exactly when the coarse blocks are, and sort
+    like them, so ``coarsen_refs(np.unique(block_keys(p, f)), f) ==
+    np.unique(coarsen_refs(p, f))`` and first touches fall at the same
+    positions. ``coarsen_refs`` of a key is the coarse reference itself. At
+    factor 1 the references are their own keys and are returned as they are.
+    """
+    shift = _coarse_shift(factor)
+    p = np.asarray(packed, dtype=np.int64)
+    if shift == 0:
+        return p
+    low = (1 << shift) - 1
+    return p & np.int64(~((low << _TY_SHIFT) | low))
+
+
 def coarsen_refs(packed: np.ndarray, factor: int) -> np.ndarray:
     """Re-express 4x4-tile references at a coarser tile granularity.
 
     ``factor`` is the linear coarsening (2 maps 4x4 tiles to 8x8 tiles, 4 to
     16x16, 8 to 32x32). The result is again a valid packed reference whose
-    tile coordinates are in coarse-tile units, usable as a unique block id
-    (e.g. with ``np.unique`` for working-set counting).
+    tile coordinates are in coarse-tile units, usable as a unique block id.
+    To count or order blocks, work on :func:`block_keys` and coarsen only
+    the distinct keys.
     """
-    if factor < 1 or (factor & (factor - 1)):
-        raise ValueError(f"factor must be a positive power of two, got {factor}")
-    if factor == 1:
-        return np.asarray(packed, dtype=np.int64)
-    shift = factor.bit_length() - 1
-    f = unpack_tile_refs(packed)
-    return pack_tile_refs(f.tid, f.mip, f.tile_y >> shift, f.tile_x >> shift, check=False)
+    shift = _coarse_shift(factor)
+    p = np.asarray(packed, dtype=np.int64)
+    if shift == 0:
+        return p
+    # Shifting the whole ref moves the kept bits of both tile fields to
+    # their coarse places at once; the mask drops what tile_y's low bits
+    # pushed into tile_x's top and the shifted tid|mip, which the last OR
+    # puts back in place.
+    out = p >> np.int64(shift)
+    out &= np.int64(((_TY_MASK >> shift) << _TY_SHIFT) | (_TX_MASK >> shift))
+    out |= p & np.int64(-1 << _MIP_SHIFT)
+    return out
 
 
 def _part1by1(x: np.ndarray) -> np.ndarray:

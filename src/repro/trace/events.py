@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["collapse_runs"]
+__all__ = ["collapse_runs", "drop_repeats"]
 
 
 def collapse_runs(
@@ -52,3 +52,18 @@ def collapse_runs(
     np.subtract(starts[1:], starts[:-1], out=weights[:-1])
     weights[-1] = n - starts[-1]
     return values, weights
+
+
+def drop_repeats(values: np.ndarray) -> np.ndarray:
+    """``values`` with each run of equal neighbours cut to its first entry.
+
+    The distinct values and the order of their first occurrences stay the
+    same, so a later ``np.unique`` (with or without ``return_index``) sorts
+    fewer entries for the same answer.
+    """
+    if len(values) < 2:
+        return values
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]

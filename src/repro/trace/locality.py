@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.texture.tiling import L1_TILE_TEXELS, coarsen_refs
+from repro.texture.tiling import L1_TILE_TEXELS, block_keys
 from repro.trace.trace import Trace
-from repro.trace.workingset import frame_unique
+from repro.trace.workingset import frame_unique_blocks
 
 __all__ = [
     "LocalityBreakdown",
@@ -97,7 +97,7 @@ def classify_locality(trace: Trace, tile_texels: int = 16) -> LocalityBreakdown:
     counts = {name: np.zeros(len(trace.frames), dtype=np.int64) for name in CLASSES}
 
     # last_frame_seen[block] = index of the most recent frame that touched
-    # it. Kept as a dict keyed by coarsened packed ref.
+    # it. Kept as a dict keyed by block key (equal exactly when blocks are).
     last_frame_seen: dict[int, int] = {}
 
     for fi, frame in enumerate(trace.frames):
@@ -106,7 +106,7 @@ def classify_locality(trace: Trace, tile_texels: int = 16) -> LocalityBreakdown:
                 "trace frames lack object_offsets; re-render with the "
                 "current pipeline to use locality classification"
             )
-        blocks = coarsen_refs(frame.refs, factor)
+        blocks = block_keys(frame.refs, factor)
         weights = frame.weights
         n = len(blocks)
         if n == 0:
@@ -188,15 +188,13 @@ def frame_reuse_distance_histogram(
 
     Unlike :func:`classify_locality` this needs no object offsets.
     """
-    factor = tile_texels // L1_TILE_TEXELS
     last_frame_seen: dict[int, int] = {}
     bins = {str(d): 0 for d in range(1, max_distance)}
     bins[f">={max_distance}"] = 0
     bins["inf"] = 0
 
     for fi, frame in enumerate(trace.frames):
-        blocks = frame_unique(frame, lambda refs: coarsen_refs(refs, factor))
-        for b in blocks.tolist():
+        for b in frame_unique_blocks(frame, tile_texels).tolist():
             seen = last_frame_seen.get(b)
             if seen is None:
                 bins["inf"] += 1

@@ -336,8 +336,7 @@ class _SpanFrame(FrameTrace):
     array: the analytic models (``analytic/``), the per-object locality
     classification (``trace/locality.py::classify_locality``), the tenant
     merge (``tenancy/schedule.py``), the direct L1 loops of
-    ``experiments/exp_ablations.py``, ``exp_mrc``'s sample size and
-    ``trace_info tenants``.
+    ``experiments/exp_ablations.py`` and ``trace_info tenants``.
     """
 
     def __init__(

@@ -18,11 +18,19 @@ from typing import Callable
 
 import numpy as np
 
-from repro.texture.tiling import CACHE_TEXEL_BYTES, coarsen_refs, unpack_tile_refs, L1_TILE_TEXELS
+from repro.texture.tiling import (
+    CACHE_TEXEL_BYTES,
+    L1_TILE_TEXELS,
+    block_keys,
+    coarsen_refs,
+    unpack_tile_refs,
+)
+from repro.trace.events import drop_repeats
 from repro.trace.trace import FrameTrace, Trace
 
 __all__ = [
     "frame_unique",
+    "frame_unique_blocks",
     "texture_ids",
     "per_frame_unique_blocks",
     "per_frame_new_blocks",
@@ -58,16 +66,28 @@ def frame_unique(
     return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
 
 
-def per_frame_unique_blocks(trace: Trace, tile_texels: int) -> list[np.ndarray]:
-    """Sorted unique block ids touched each frame, at the given granularity.
+def frame_unique_blocks(frame: FrameTrace, tile_texels: int) -> np.ndarray:
+    """Sorted unique block ids one frame touches, at the given granularity.
 
     ``tile_texels`` is the block edge (4 for L1 tiles, 8/16/32 for L2
-    blocks); ids are coarsened packed references, unique across textures.
+    blocks), a power-of-two multiple of 4; ids are coarsened packed
+    references, unique across textures. The frame is deduplicated on
+    :func:`~repro.texture.tiling.block_keys`, which sort like the ids, and
+    only the unique keys are coarsened. Runs of one key are dropped first,
+    except at 4 texels: the keys are then the run-collapsed refs
+    themselves, and the pass only cost time (0.23 -> 0.28 s over a 12-frame
+    320x240 Village trace).
     """
     factor = _factor(tile_texels)
-    return [
-        frame_unique(f, lambda refs: coarsen_refs(refs, factor)) for f in trace.frames
-    ]
+    if factor == 1:
+        return frame_unique(frame, lambda refs: refs)
+    keys = frame_unique(frame, lambda refs: drop_repeats(block_keys(refs, factor)))
+    return coarsen_refs(keys, factor)
+
+
+def per_frame_unique_blocks(trace: Trace, tile_texels: int) -> list[np.ndarray]:
+    """:func:`frame_unique_blocks` of every frame."""
+    return [frame_unique_blocks(f, tile_texels) for f in trace.frames]
 
 
 def per_frame_new_blocks(unique_sets: list[np.ndarray]) -> np.ndarray:

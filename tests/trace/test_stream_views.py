@@ -18,6 +18,7 @@ from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
 from repro.core.push_manager import BudgetedPushArchitecture
 from repro.core.streaming import StreamingDriver
+from repro.experiments.exp_mrc import _stream_refs
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs
 from repro.trace.locality import frame_reuse_distance_histogram
@@ -99,7 +100,8 @@ class TestViews:
 
 def test_per_frame_unique_readers_never_concatenate(tmp_path, monkeypatch):
     """Working-set, frame-distance and push/streaming accounting dedupe a
-    chunk-spanning frame chunk by chunk, never reading its whole arrays."""
+    chunk-spanning frame chunk by chunk, never reading its whole arrays;
+    ``exp_mrc`` counts its refs the same way."""
     trace = _trace([30, 250, 10, 140])
     path = tmp_path / "t.stream"
     save_stream(trace, path, chunk_refs=64)
@@ -118,6 +120,7 @@ def test_per_frame_unique_readers_never_concatenate(tmp_path, monkeypatch):
         ):
             np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(push_memory_curve(st), push_memory_curve(trace))
+    assert _stream_refs(st) == sum(len(f.refs) for f in trace.frames) == 430
     assert frame_reuse_distance_histogram(st) == frame_reuse_distance_histogram(
         trace
     )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.texture.texture import Texture
 from repro.texture.tiling import pack_tile_refs
+from repro.trace.locality import frame_reuse_distance_histogram
 from repro.trace.trace import FrameTrace, Trace, TraceMeta
 from repro.trace.workingset import (
     l2_memory_curve,
@@ -49,6 +50,16 @@ class TestUniqueBlocks:
         t = trace_from_tiles([[]])
         with pytest.raises(ValueError):
             per_frame_unique_blocks(t, 6)
+
+    @pytest.mark.parametrize("tile", [6, 12, 24])
+    def test_rejects_blocks_that_are_not_a_power_of_two_tiles(self, tile):
+        # A bit-length mask would quietly round a 12-texel block (3x3
+        # tiles) down to 8 texels; both per-frame unique readers refuse it.
+        t = trace_from_tiles([[(0, 0, 0, 0), (0, 0, 5, 5)], [(1, 0, 2, 2)]])
+        with pytest.raises(ValueError):
+            per_frame_unique_blocks(t, tile)
+        with pytest.raises(ValueError):
+            frame_reuse_distance_histogram(t, tile)
 
 
 class TestNewBlocks:
