@@ -22,10 +22,17 @@ per-triangle renderer kept in the test-only oracle (``tests/oracle/``).
 :meth:`Renderer.write_frames` hands each frame to the streaming trace
 writer (:mod:`repro.trace.stream`) and drops it before rendering the
 next, so a full-scale animation renders in bounded memory.
+
+Each ``iter_frames``/``write_frames`` loop owns one
+:class:`~repro.workspace.Workspace`, shared by every rasterizer,
+footprint and collapse call of the loop and dropped when the loop ends;
+a ``write_frames`` loop also reuses it for the frames'
+``refs``/``weights`` (DESIGN §12.1, §12.3).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -50,6 +57,7 @@ from repro.texture.sampler import (
 from repro.texture.texture import Texture
 from repro.trace.events import collapse_runs
 from repro.trace.trace import FrameTrace
+from repro.workspace import Workspace
 
 __all__ = ["RenderOptions", "FrameOutput", "Renderer"]
 
@@ -58,10 +66,12 @@ __all__ = ["RenderOptions", "FrameOutput", "Renderer"]
 #: (DESIGN §12.3).
 FRAGMENT_BLOCK = 1 << 14
 
-#: Clamped bounding-box pixels per rasterizer call. A 1024x768 City
-#: frame then takes up to four calls; smaller groups fault in more fresh
-#: pages and render it slower (DESIGN §12.3).
-GROUP_PIXELS = 1 << 21
+#: Clamped bounding-box pixels per rasterizer call. The render loop's
+#: workspace keeps its largest group's fragments resident, so the budget
+#: bounds that memory; with the workspace a smaller group no longer
+#: faults in fresh pages, and 1 << 20 rendered as fast as 1 << 21 with
+#: a ~14 MB lower city-1024 peak (DESIGN §12.3).
+GROUP_PIXELS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,9 @@ class Renderer:
         self.instances = list(instances)
         self.manager = manager
         self.options = options or RenderOptions()
+        # The current render loop's scratch (see _render_loop).
+        self._workspace: Workspace | None = None
+        self._frame_buffers: Workspace | None = None
         for inst in self.instances:
             # Fail fast on dangling texture bindings.
             self.manager.texture(inst.texture_id)
@@ -159,19 +172,41 @@ class Renderer:
         Yields each :class:`FrameOutput` as soon as it is rendered. A
         ``for out in iter_frames(...)`` loop still holds the previous
         frame in ``out`` while the next one renders, so it keeps two
-        frames alive; :meth:`write_frames` keeps one.
+        frames alive; :meth:`write_frames` keeps one. Every yielded frame
+        owns its arrays, so a caller may keep any of them.
         """
-        for cam in cameras:
-            yield self.render_frame(cam)
+        with self._render_loop(reuse_frames=False):
+            for cam in cameras:
+                yield self.render_frame(cam)
 
     def write_frames(self, cameras: Sequence[Camera], writer) -> None:
         """Render camera poses straight into ``writer.append_frame``.
 
         No reference to a frame outlives its ``append_frame`` call, so the
-        previous frame is freed before the next one renders.
+        previous frame is freed before the next one renders. Each frame's
+        ``refs``/``weights`` are views of buffers the next frame
+        overwrites: ``append_frame`` must copy what it keeps, as
+        :class:`~repro.trace.stream.StreamTraceWriter` does.
         """
-        for cam in cameras:
-            writer.append_frame(self.render_frame(cam).trace)
+        with self._render_loop(reuse_frames=True):
+            for cam in cameras:
+                writer.append_frame(self.render_frame(cam).trace)
+
+    @contextmanager
+    def _render_loop(self, reuse_frames: bool):
+        """One workspace for every ``render_frame`` of a loop.
+
+        ``render_frame`` keeps its signature (the test oracle overrides
+        it), so the loop hands the workspace over on the instance, and
+        restores the previous one when it ends: nothing outlives the loop.
+        """
+        saved = self._workspace, self._frame_buffers
+        ws = Workspace()
+        self._workspace, self._frame_buffers = ws, ws if reuse_frames else None
+        try:
+            yield
+        finally:
+            self._workspace, self._frame_buffers = saved
 
     def render_frame(self, camera: Camera) -> FrameOutput:
         """Render one frame; returns its trace (and image when shading)."""
@@ -293,7 +328,8 @@ class Renderer:
         # order, and per-triangle output does not depend on how the frame
         # is cut. A triangle's clamped bounding box bounds its fragments.
         n_fragments = 0
-        stream = _FrameStream(0)
+        stream = _FrameStream(0, self._frame_buffers)
+        ws = self._workspace or Workspace()
         if g_ntri:
             screen_xy = np.concatenate(g_screen)
             inv_w = np.concatenate(g_invw)
@@ -328,6 +364,7 @@ class Renderer:
                     tex_height=tex_h[gs:ge],
                     double_sided=sided[gs:ge],
                     order=opt.order,
+                    workspace=ws,
                 )
                 counts = batch.fragment_counts(ge - gs)
                 bounds = np.concatenate(([0], np.cumsum(counts)))
@@ -336,7 +373,8 @@ class Renderer:
                     # group, bounding boxes for the rest, so a frame of
                     # one group allocates exactly its texel reads.
                     stream = _FrameStream(
-                        int(counts @ reads[:ge] + area[ge:] @ reads[ge:])
+                        int(counts @ reads[:ge] + area[ge:] @ reads[ge:]),
+                        self._frame_buffers,
                     )
 
                 # Walk the instances this group holds triangles of, in
@@ -359,8 +397,9 @@ class Renderer:
                     k += 1
                     done = 0
                 n_fragments += sum(len(seg.u) for seg in segments)
-                stream.emit(segments, self.manager, opt.filter_mode)
-                # Drop this group's fragments before rasterizing the next.
+                stream.emit(segments, self.manager, opt.filter_mode, ws)
+                # Drop this group's fragments (workspace views the next
+                # call overwrites) before rasterizing the next.
                 del batch, segments
 
         trace = stream.finish(n_fragments)
@@ -456,7 +495,10 @@ class _FrameStream:
 
     ``refs``/``weights`` are reserved once at ``bound`` entries, an upper
     bound on the frame's texel reads; pages past what is written are
-    never touched. :meth:`emit` cuts a group's segments into blocks of
+    never touched. With ``buffers`` they are views of its grow-only
+    ``refs``/``weights`` buffers, shared by every frame of a
+    ``write_frames`` loop, so the frame's trace is valid only until the
+    next frame starts. :meth:`emit` cuts a group's segments into blocks of
     ``FRAGMENT_BLOCK`` fragments; a block holds pieces of one or more
     instances. Each block's footprints are sampled with one call per
     texture binding (:func:`_block_grids`), then every piece is
@@ -468,18 +510,28 @@ class _FrameStream:
     instances (DESIGN §12.3).
     """
 
-    def __init__(self, bound: int):
-        self.refs = np.empty(bound, dtype=np.int64)
-        self.weights = np.empty(bound, dtype=np.int64)
+    def __init__(self, bound: int, buffers: Workspace | None = None):
+        self.owned = buffers is None
+        if self.owned:
+            self.refs = np.empty(bound, dtype=np.int64)
+            self.weights = np.empty(bound, dtype=np.int64)
+        else:
+            self.refs = buffers.buffer("refs", bound, np.int64)
+            self.weights = buffers.buffer("weights", bound, np.int64)
         self.offsets: list[int] = []
         self.pos = 0
 
     def emit(
-        self, segments: list[_Segment], manager: TextureManager, mode: FilterMode
+        self,
+        segments: list[_Segment],
+        manager: TextureManager,
+        mode: FilterMode,
+        ws: Workspace,
     ) -> None:
         refs, weights, pos = self.refs, self.weights, self.pos
         for block in _blocks(segments):
-            for (seg, start, _), grid in zip(block, _block_grids(block, manager, mode)):
+            grids = _block_grids(block, manager, mode, ws)
+            for (seg, start, _), grid in zip(block, grids):
                 at = pos
                 if seg.done + start == 0:
                     self.offsets.append(pos)
@@ -487,20 +539,22 @@ class _FrameStream:
                     at -= 1
                 carry = weights[at] if at < pos else 0
                 runs, _ = collapse_runs(
-                    grid.reshape(-1), out=(refs[at:], weights[at:])
+                    grid.reshape(-1), out=(refs[at:], weights[at:]), workspace=ws
                 )
                 weights[at] += carry
                 pos = at + len(runs)
         self.pos = pos
 
     def finish(self, n_fragments: int) -> FrameTrace:
-        # Shrink in place: a realloc that gives back the unused tail
-        # without copying, so the frame's trace owns exactly its entries.
-        self.refs.resize(self.pos, refcheck=False)
-        self.weights.resize(self.pos, refcheck=False)
+        if self.owned:
+            # Shrink in place: a realloc that gives back the unused tail
+            # without copying, so the frame's trace owns exactly its
+            # entries.
+            self.refs.resize(self.pos, refcheck=False)
+            self.weights.resize(self.pos, refcheck=False)
         return FrameTrace(
-            refs=self.refs,
-            weights=self.weights,
+            refs=self.refs[: self.pos],
+            weights=self.weights[: self.pos],
             n_fragments=n_fragments,
             object_offsets=np.array(self.offsets, dtype=np.int64),
         )
@@ -562,39 +616,64 @@ def _block_grids(
     block: list[tuple[_Segment, int, int]],
     manager: TextureManager,
     mode: FilterMode,
+    ws: Workspace,
 ) -> list[np.ndarray]:
     """Each piece's footprint grid, with one call per texture binding.
 
     Every row of a footprint grid depends only on its own fragment, so
     sampling the pieces that share a binding together and slicing the
     grid back gives the rows of separate calls. A secondary texture's
-    grid is interleaved column-wise after the primary one's.
+    grid is interleaved column-wise after the primary one's. The grids
+    are consecutive slices of one workspace buffer, valid until the next
+    block's.
     """
     groups: dict[tuple[int, int | None], list[int]] = {}
     for i, (seg, _, _) in enumerate(block):
         key = (seg.inst.texture_id, seg.inst.secondary_texture_id)
         groups.setdefault(key, []).append(i)
     grids: list[np.ndarray] = [None] * len(block)
-    for (tid, sec_tid), members in groups.items():
+    taps = texel_reads_per_fragment(mode)
+    widths = [taps if sec is None else 2 * taps for _, sec in groups]
+    sizes = [
+        k * sum(block[i][2] - block[i][1] for i in members)
+        for k, members in zip(widths, groups.values())
+    ]
+    arena = ws.buffer("grids", sum(sizes), np.int64)
+    at = 0
+    for ((tid, sec_tid), members), k, size in zip(groups.items(), widths, sizes):
         pieces = [block[i] for i in members]
-        cols = [
-            [getattr(seg, col)[a:b] for seg, a, b in pieces]
+        n = size // k
+        u, v, lod = (
+            _gathered([getattr(seg, col)[a:b] for seg, a, b in pieces], col, n, ws)
             for col in ("u", "v", "lod")
-        ]
-        u, v, lod = (c[0] if len(c) == 1 else np.concatenate(c) for c in cols)
+        )
         tex = pieces[0][0].tex
-        grid = footprint_tiles_grid(tex, tid, u, v, lod, mode)
+        grid = arena[at : at + size].reshape(n, k)
+        at += size
+        footprint_tiles_grid(
+            tex, tid, u, v, lod, mode, out=grid[:, :taps], workspace=ws
+        )
         if sec_tid is not None:
             sec = manager.texture(sec_tid)
-            sec_grid = footprint_tiles_grid(
-                sec, sec_tid, u, v, lod + secondary_lod_shift(tex, sec), mode
+            sec_lod = np.add(
+                lod, secondary_lod_shift(tex, sec), out=ws.buffer("sec_lod", n)
             )
-            grid = np.concatenate([grid, sec_grid], axis=1)
+            footprint_tiles_grid(
+                sec, sec_tid, u, v, sec_lod, mode, out=grid[:, taps:], workspace=ws
+            )
         row = 0
         for i, (_, a, b) in zip(members, pieces):
             grids[i] = grid[row : row + b - a]
             row += b - a
     return grids
+
+
+def _gathered(parts: list[np.ndarray], name: str, n: int, ws: Workspace):
+    """``np.concatenate(parts)`` into workspace buffer ``block_{name}``;
+    a single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts, out=ws.buffer(f"block_{name}", n))
 
 
 def _select(frags: Fragments, mask: np.ndarray) -> Fragments:

@@ -13,8 +13,9 @@ each filter touches:
 
 The renderer calls the footprint kernel once per texture binding per
 block of fragments, so its per-call cost is kept small: each binding's
-per-level tables are memoized, and power-of-two levels wrap with a mask
-instead of ``np.mod``.
+per-level tables are memoized, power-of-two levels wrap with a mask
+instead of ``np.mod``, and the grid and every temporary can live in the
+render loop's :class:`~repro.workspace.Workspace`.
 
 It also samples actual colors for image output (Fig 12 snapshots).
 """
@@ -31,6 +32,7 @@ import numpy as np
 from repro.texture.mipmap import mip_level_count, mip_level_dims
 from repro.texture.texture import Texture
 from repro.texture.tiling import L1_TILE_TEXELS, pack_tile_refs
+from repro.workspace import Workspace
 
 __all__ = [
     "FilterMode",
@@ -73,9 +75,19 @@ def secondary_lod_shift(base: Texture, secondary: Texture) -> float:
     )
 
 
-def _nearest_level(lod: np.ndarray, n_levels: int) -> np.ndarray:
+def _nearest_level(lod: np.ndarray, n_levels: int, ws: Workspace) -> np.ndarray:
     """MIP level giving ~1:1 texel-to-pixel compression (round to nearest)."""
-    return np.clip(np.floor(lod + 0.5), 0, n_levels - 1).astype(np.int64)
+    # np.clip(np.floor(lod + 0.5), 0, n_levels - 1).astype(np.int64)
+    f = np.add(lod, 0.5, out=ws.buffer("fp_lod", len(lod)))
+    np.floor(f, out=f)
+    np.clip(f, 0, n_levels - 1, out=f)
+    return _to_int(f, ws.buffer("fp_m0", len(lod), np.int64))
+
+
+def _to_int(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``values.astype(np.int64)`` written into ``out`` (the same cast)."""
+    np.copyto(out, values, casting="unsafe")
+    return out
 
 
 class _LevelTables(NamedTuple):
@@ -107,18 +119,24 @@ def _level_tables(width: int, height: int, tid: int) -> _LevelTables:
 
 
 def _texel_coords(
-    uv: np.ndarray, dims: np.ndarray, bilinear: bool, pow2: bool
+    uv: np.ndarray,
+    dims: np.ndarray,
+    bilinear: bool,
+    pow2: bool,
+    ws: Workspace,
+    axis: str,
 ) -> np.ndarray:
     """Wrapped int64 texel coordinates along one axis (GL_REPEAT).
 
     Bilinear takes the lower-left texel of the 2x2 footprint. ``dims`` is
-    consumed: a power-of-two axis reuses it as the wrap mask.
+    consumed: a power-of-two axis reuses it as the wrap mask. The result
+    is the workspace buffer ``fp_{axis}0``.
     """
-    t = uv * dims
+    t = np.multiply(uv, dims, out=ws.buffer("fp_t", len(uv)))
     if bilinear:
         t -= 0.5
     np.floor(t, out=t)
-    coords = t.astype(np.int64)
+    coords = _to_int(t, ws.buffer(f"fp_{axis}0", len(uv), np.int64))
     if pow2:
         # In two's complement, x & (d - 1) == x mod d for a power-of-two d.
         dims -= 1
@@ -134,22 +152,30 @@ def _level_tiles(
     levels: np.ndarray,
     bilinear: bool,
     out: np.ndarray,
+    ws: Workspace,
 ) -> None:
     """Write the tile references of one footprint per fragment into ``out``.
 
     ``out`` is an ``(N, k)`` int64 view, k = 1 (point) or 4 (bilinear:
     rows y0, y1 of columns x0, x1), filled in deterministic footprint order.
     """
-    if len(u) == 0:
+    n = len(u)
+    if n == 0:
         return
+
+    def gather(table, name):
+        return np.take(
+            table, levels, mode="clip", out=ws.buffer(name, n, np.int64)
+        )
+
     # Per-level tables gathered per fragment: one pass over the fragments
     # however many MIP levels the batch spans. A gathered dimension
     # multiplies to the same IEEE bits as a scalar broadcast of it.
-    w = tables.w[levels]
-    h = tables.h[levels]
-    base = tables.base[levels]
-    x0 = _texel_coords(u, w, bilinear, tables.pow2)
-    y0 = _texel_coords(v, h, bilinear, tables.pow2)
+    w = gather(tables.w, "fp_w")
+    h = gather(tables.h, "fp_h")
+    base = gather(tables.base, "fp_base")
+    x0 = _texel_coords(u, w, bilinear, tables.pow2, ws, "x")
+    y0 = _texel_coords(v, h, bilinear, tables.pow2, ws, "y")
     if not bilinear:
         y0 >>= _TILE_SHIFT
         y0 <<= _TY_SHIFT
@@ -159,14 +185,15 @@ def _level_tiles(
         return
     # One wrap per axis: x0 + 1 wraps exactly when it reaches the width
     # (for a power-of-two axis ``w`` and ``h`` now hold the wrap masks).
-    x1 = x0 + 1
-    y1 = y0 + 1
+    x1 = np.add(x0, 1, out=ws.buffer("fp_x1", n, np.int64))
+    y1 = np.add(y0, 1, out=ws.buffer("fp_y1", n, np.int64))
     if tables.pow2:
         x1 &= w
         y1 &= h
     else:
-        x1 *= x1 != w
-        y1 *= y1 != h
+        inside = ws.buffer("fp_inside", n, bool)
+        x1 *= np.not_equal(x1, w, out=inside)
+        y1 *= np.not_equal(y1, h, out=inside)
     x0 >>= _TILE_SHIFT
     x1 >>= _TILE_SHIFT
     for col, yy in ((0, y0), (2, y1)):
@@ -184,30 +211,41 @@ def footprint_tiles_grid(
     v: np.ndarray,
     lod: np.ndarray,
     mode: FilterMode,
+    out: np.ndarray | None = None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Per-fragment footprint tile references as an ``(N, k)`` array.
 
     ``k`` is :func:`texel_reads_per_fragment`. Row *i* holds fragment *i*'s
     footprint in deterministic order. Multi-texturing interleaves several
     textures' grids column-wise before flattening, which is why the 2-D
-    form is exposed.
+    form is exposed. ``out`` is an ``(N, k)`` int64 array (a view is
+    fine) to fill and return instead of a fresh one; ``workspace`` holds
+    the temporaries (its ``fp_*`` buffers).
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     lod = np.asarray(lod, dtype=np.float64)
     if not isinstance(mode, FilterMode):
         raise ValueError(f"unknown filter mode {mode!r}")
+    ws = Workspace() if workspace is None else workspace
     tables = _level_tables(texture.width, texture.height, tid)
     n_levels = len(tables.w)
-    out = np.empty((len(u), texel_reads_per_fragment(mode)), dtype=np.int64)
+    n = len(u)
+    if out is None:
+        out = np.empty((n, texel_reads_per_fragment(mode)), dtype=np.int64)
     if mode is FilterMode.TRILINEAR:
-        m0 = np.clip(np.floor(lod), 0, n_levels - 1).astype(np.int64)
-        m1 = np.minimum(m0 + 1, n_levels - 1)
-        _level_tiles(tables, u, v, m0, True, out[:, :4])
-        _level_tiles(tables, u, v, m1, True, out[:, 4:])
+        # m0 = np.clip(np.floor(lod), 0, n_levels - 1).astype(np.int64)
+        f = np.floor(lod, out=ws.buffer("fp_lod", n))
+        np.clip(f, 0, n_levels - 1, out=f)
+        m0 = _to_int(f, ws.buffer("fp_m0", n, np.int64))
+        m1 = np.add(m0, 1, out=ws.buffer("fp_m1", n, np.int64))
+        np.minimum(m1, n_levels - 1, out=m1)
+        _level_tiles(tables, u, v, m0, True, out[:, :4], ws)
+        _level_tiles(tables, u, v, m1, True, out[:, 4:], ws)
     else:
-        levels = _nearest_level(lod, n_levels)
-        _level_tiles(tables, u, v, levels, mode is FilterMode.BILINEAR, out)
+        levels = _nearest_level(lod, n_levels, ws)
+        _level_tiles(tables, u, v, levels, mode is FilterMode.BILINEAR, out, ws)
     return out
 
 
@@ -290,7 +328,7 @@ def sample_color(
             out[sel] = lo * (1 - frac[sel]) + hi * frac[sel]
         return out
 
-    levels = _nearest_level(lod, n_levels)
+    levels = _nearest_level(lod, n_levels, Workspace())
     for m in np.unique(levels):
         sel = levels == m
         img = pyramid[int(m)]

@@ -6,7 +6,8 @@ page-tiled virtual image. This module maps the repository's canonical
 access event — the packed 4x4-texel L1 tile reference — onto that page
 space without inventing a second address format: a *page reference* is
 simply a tile reference coarsened to page granularity
-(:func:`~repro.texture.tiling.coarsen_refs`), so ``(tid, mip, page_y,
+(:func:`~repro.texture.tiling.coarsen_refs`; a frame's visible pages come
+from :func:`~repro.raster.feedback.page_requests`), so ``(tid, mip, page_y,
 page_x)`` rides in the same int64 layout and page identities are stable
 across runs, engines, and checkpoints.
 
@@ -27,7 +28,6 @@ from repro.texture.tiling import (
     L1_TILE_TEXELS,
     MAX_MIP_LEVELS,
     AddressSpace,
-    coarsen_refs,
     pack_tile_refs,
     unpack_tile_refs,
 )
@@ -52,8 +52,6 @@ class MegaTexture:
             )
         self.space = space
         self.page_texels = page_texels
-        #: Linear coarsening from 4x4 tiles to pages.
-        self.factor = page_texels // L1_TILE_TEXELS
 
     @property
     def page_bytes(self) -> int:
@@ -95,12 +93,8 @@ class MegaTexture:
         return pack_tile_refs(tids, mips, 0, 0, check=False)
 
     # ------------------------------------------------------------------
-    # Reference translation
+    # The MIP fallback ladder
     # ------------------------------------------------------------------
-    def page_refs(self, refs: np.ndarray) -> np.ndarray:
-        """Re-express packed 4x4-tile references at page granularity."""
-        return coarsen_refs(refs, self.factor)
-
     def ancestor(self, page: int, k: int) -> int:
         """The page's MIP ancestor ``k`` levels coarser (packed ref).
 

@@ -18,6 +18,8 @@ from repro.raster.pipeline import RenderOptions, Renderer
 from repro.raster.rasterizer import RasterOrder
 from repro.scenes import WORKLOAD_BUILDERS
 from repro.texture.sampler import FilterMode
+from repro.trace.trace import FrameTrace
+from repro.workspace import Workspace
 
 from tests.oracle import ReferenceRenderer, rasterize_triangle
 from tests.raster.test_pipeline import camera, simple_scene
@@ -26,10 +28,17 @@ W, H = 48, 40
 TEXW, TEXH = 64, 32
 
 
-def reference_batch(screen, inv_w, uv, z_ndc, double_sided, order):
-    """The ground truth: the per-triangle loop, concatenated."""
+def reference_batch(
+    screen, inv_w, uv, z_ndc, double_sided, order, tex_w=TEXW, tex_h=TEXH
+):
+    """The ground truth: the per-triangle loop, concatenated.
+
+    ``tex_w``/``tex_h`` are scalars or per-triangle arrays.
+    """
     cols = {k: [] for k in ("xs", "ys", "z", "u", "v", "lod", "tri_ids")}
-    for i in range(screen.shape[0]):
+    n = screen.shape[0]
+    tex_w, tex_h = np.broadcast_to(tex_w, n), np.broadcast_to(tex_h, n)
+    for i in range(n):
         frags = rasterize_triangle(
             screen_xy=screen[i],
             inv_w=inv_w[i],
@@ -37,8 +46,8 @@ def reference_batch(screen, inv_w, uv, z_ndc, double_sided, order):
             z_ndc=z_ndc[i],
             width=W,
             height=H,
-            tex_width=TEXW,
-            tex_height=TEXH,
+            tex_width=tex_w[i],
+            tex_height=tex_h[i],
             double_sided=double_sided,
             order=order,
         )
@@ -220,6 +229,116 @@ class TestKernelDifferential:
         assert np.all(np.diff(got.tri_ids) >= 0)
 
 
+def _strip(n_tris, y0=0.0):
+    """``n_tris`` overlapping front faces along a strip (area2 < 0)."""
+    k = np.arange(n_tris, dtype=np.float64)
+    x = 3.0 * k - 4.0
+    screen = np.stack(
+        [np.stack([x, np.full(n_tris, y0)], 1),
+         np.stack([x + 5.0, np.full(n_tris, y0 + 30.0)], 1),
+         np.stack([x + 9.0, np.full(n_tris, y0 + 2.0)], 1)], 1
+    )
+    inv_w = 1.0 / (1.0 + 0.1 * np.arange(3 * n_tris).reshape(n_tris, 3))
+    uv = np.stack([np.sin(screen[..., 0] * 0.37), np.cos(screen[..., 1] * 0.23)], -1)
+    z = np.linspace(-0.9, 0.9, 3 * n_tris).reshape(n_tris, 3)
+    return screen, inv_w, uv, z
+
+
+def _as_dict(batch: FragmentBatch) -> dict:
+    """A copy of every field: workspace views die at the next call."""
+    return {k: getattr(batch, k).copy() for k in (
+        "xs", "ys", "z", "u", "v", "lod", "tri_ids")}
+
+
+def _assert_same_bytes(got: dict, want: FragmentBatch):
+    for k, arr in got.items():
+        ref = getattr(want, k)
+        assert arr.dtype == ref.dtype, k
+        assert arr.tobytes() == ref.tobytes(), k
+
+
+def _culled(args):
+    """The same triangles wound backwards: all culled when single-sided."""
+    screen, inv_w, uv, z = args
+    return screen[:, ::-1].copy(), inv_w, uv, z
+
+
+class TestWorkspaceReuse:
+    """One workspace through many calls equals a fresh call, byte for byte."""
+
+    def run_sequence(self, cases, block=None):
+        self.fragments = []
+        ws = Workspace()
+        extra = {} if block is None else {"block_fragments": block}
+        for (screen, inv_w, uv, z), ds, order, tex in cases:
+            tw, th = tex if tex is not None else (TEXW, TEXH)
+            kwargs = dict(
+                screen_xy=screen, inv_w=inv_w, uv=uv, z_ndc=z, width=W,
+                height=H, tex_width=tw, tex_height=th, double_sided=ds,
+                order=order, **extra,
+            )
+            got = _as_dict(rasterize_triangles(workspace=ws, **kwargs))
+            self.fragments.append(len(got["xs"]))
+            fresh = rasterize_triangles(**kwargs)
+            _assert_same_bytes(got, fresh)
+            ref = reference_batch(screen, inv_w, uv, z, ds, order, tw, th)
+            assert_batches_identical(FragmentBatch(**got), ref)
+
+    def test_grow_shrink_empty_culled_per_triangle_tiled(self):
+        S, T = RasterOrder.SCANLINE, RasterOrder.TILED
+        big, small = _strip(14), _strip(2, y0=7.0)
+        n = len(big[0])
+        per_tri = (
+            np.arange(n, dtype=np.float64) % 3 * 32.0 + 16.0,
+            np.arange(n, dtype=np.float64) % 2 * 64.0 + 8.0,
+        )
+        empty = (np.empty((0, 3, 2)), np.empty((0, 3)), np.empty((0, 3, 2)),
+                 np.empty((0, 3)))
+        self.run_sequence([
+            (small, False, S, None),
+            (big, False, S, None),        # grows every buffer
+            (small, False, S, None),      # shrinks: views of longer buffers
+            (empty, False, S, None),
+            (_culled(big), False, S, None),  # every triangle culled
+            (big, False, S, per_tri),     # per-triangle texture dims
+            (big, False, T, None),        # tiled order
+            (_culled(big), True, T, per_tri),  # double-sided, tiled
+            (small, False, S, None),
+        ], block=128)
+        small_n, big_n = self.fragments[:2]
+        assert 0 < small_n < big_n > 4 * 128  # big spans several blocks
+        assert self.fragments[3:5] == [0, 0]
+        assert self.fragments[7] == big_n
+
+    @given(st.lists(
+        st.tuples(
+            st.one_of(triangle_batches(), adversarial_batches()),
+            st.booleans(),
+            st.sampled_from([RasterOrder.SCANLINE, RasterOrder.TILED]),
+        ),
+        min_size=2, max_size=6,
+    ), st.sampled_from([1, 5, 64, None]))
+    @settings(max_examples=60, deadline=None)
+    def test_property_sequence_bit_identical(self, cases, block):
+        self.run_sequence([(args, ds, order, None) for args, ds, order in cases],
+                          block)
+
+    def test_outputs_are_workspace_views(self):
+        # The contract: a call's arrays are overwritten by the next call
+        # with the same workspace; a call without one owns its arrays.
+        args = _strip(6)
+        kwargs = dict(width=W, height=H, tex_width=TEXW, tex_height=TEXH)
+        ws = Workspace()
+        a = rasterize_triangles(*args, workspace=ws, **kwargs)
+        b = rasterize_triangles(*args, workspace=ws, **kwargs)
+        assert len(a) > 0
+        for k in ("xs", "ys", "z", "u", "v", "lod", "tri_ids"):
+            assert np.shares_memory(getattr(a, k), getattr(b, k)), k
+        c = rasterize_triangles(*args, **kwargs)
+        d = rasterize_triangles(*args, **kwargs)
+        assert not np.shares_memory(c.u, d.u)
+
+
 def _frame_equal(a, b, check_image):
     assert np.array_equal(a.trace.refs, b.trace.refs)
     assert np.array_equal(a.trace.weights, b.trace.weights)
@@ -274,3 +393,56 @@ class TestWorkloadDifferential:
         bat = Renderer(wl.scene.instances, wl.scene.manager, opts)
         for a, b in zip(ref.iter_frames(cams), bat.iter_frames(cams)):
             _frame_equal(a, b, check_image=False)
+
+
+class _CopyingSink:
+    """A ``write_frames`` writer that copies each frame, as writers must."""
+
+    def __init__(self):
+        self.frames: list[FrameTrace] = []
+        self.views: list[np.ndarray] = []
+
+    def append_frame(self, frame):
+        self.views.append(frame.refs)
+        self.frames.append(FrameTrace(
+            refs=frame.refs.copy(), weights=frame.weights.copy(),
+            n_fragments=frame.n_fragments,
+            object_offsets=frame.object_offsets.copy(),
+        ))
+
+
+def _trace_equal(a, b):
+    assert np.array_equal(a.refs, b.refs)
+    assert np.array_equal(a.weights, b.weights)
+    assert a.n_fragments == b.n_fragments
+    assert np.array_equal(a.object_offsets, b.object_offsets)
+
+
+class TestRenderLoopDifferential:
+    """Several frames through one loop's workspace equal the oracle's."""
+
+    @pytest.mark.parametrize("workload", ["city", "village", "terrain"])
+    def test_iter_and_write_frames_match_oracle(self, workload):
+        wl = WORKLOAD_BUILDERS[workload](detail=0.25)
+        opts = RenderOptions(width=96, height=72,
+                             filter_mode=FilterMode.TRILINEAR)
+        cams = wl.cameras(5)
+        want = list(ReferenceRenderer(
+            wl.scene.instances, wl.scene.manager, opts).iter_frames(cams))
+        bat = Renderer(wl.scene.instances, wl.scene.manager, opts)
+        got = list(bat.iter_frames(cams))
+        sink = _CopyingSink()
+        bat.write_frames(cams, sink)
+        assert len(got) == len(sink.frames) == len(want)
+        for a, b, c in zip(want, got, sink.frames):
+            _frame_equal(a, b, check_image=False)
+            _trace_equal(a.trace, c)
+        # iter_frames' frames own their arrays; write_frames' frames are
+        # views of buffers the loop reuses.
+        assert not any(
+            np.shares_memory(a.trace.refs, b.trace.refs)
+            for a, b in zip(got, got[1:])
+        )
+        assert any(
+            np.shares_memory(a, b) for a, b in zip(sink.views, sink.views[1:])
+        )

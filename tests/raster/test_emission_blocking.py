@@ -63,8 +63,8 @@ def count_block_runs(monkeypatch):
     runs: list[int] = []
     collapse = pipeline.collapse_runs
 
-    def counting(refs, out=None):
-        result = collapse(refs, out=out)
+    def counting(refs, **kwargs):
+        result = collapse(refs, **kwargs)
         runs.append(len(result[0]))
         return result
 

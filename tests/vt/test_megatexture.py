@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.raster.feedback import page_requests
 from repro.texture.texture import Texture
 from repro.texture.tiling import AddressSpace, pack_tile_refs, unpack_tile_refs
 from repro.texture.fallback import fallback_page
@@ -39,12 +40,17 @@ class TestMegaTexture:
         with pytest.raises(ValueError):
             MegaTexture(make_space(), page_texels=2)
 
-    def test_page_refs_coarsen_tile_refs(self):
+    def test_page_requests_coarsen_tile_refs(self):
         mega = MegaTexture(make_space(), page_texels=16)
         # Tile (mip 0, y 5, x 7) covers texels (20..23, 28..31) -> page (1, 1).
-        refs = pack_tile_refs(1, 0, 5, 7, check=False)
-        page = unpack_tile_refs(mega.page_refs(refs))
-        assert (int(page.tile_y), int(page.tile_x)) == (1, 1)
+        refs = pack_tile_refs(
+            np.array([1, 1]), 0, np.array([5, 4]), np.array([7, 4]), check=False
+        )
+        pages = unpack_tile_refs(page_requests(refs, mega.page_texels))
+        assert [(int(y), int(x)) for y, x in zip(pages.tile_y, pages.tile_x)] == [
+            (1, 1)
+        ]
+        assert int(pages.tid[0]) == 1 and int(pages.mip[0]) == 0
 
     def test_ancestor_walk_shifts_and_clamps(self):
         mega = MegaTexture(make_space(), page_texels=32)
