@@ -76,22 +76,6 @@ class TimingModel:
         """t2miss = c * t3."""
         return self.full_miss_cost_ratio * self.host_download_cycles
 
-    @property
-    def block_download_us(self) -> float:
-        """Wall time of one 64-byte host download on this machine."""
-        return self.host_download_cycles / self.clock_hz * 1e6
-
-    def frame_budget_us(self, target_fps: float) -> float:
-        """Frame-latency budget for a target frame rate, microseconds.
-
-        The QoS serving layer derives tenant SLOs from this: a tenant that
-        declares 30 fps may not observe more than ``frame_budget_us(30)``
-        between submitting a frame and its texturing completing.
-        """
-        if target_fps <= 0.0:
-            raise ValueError(f"target_fps must be positive, got {target_fps}")
-        return 1e6 / target_fps
-
 
 @dataclass
 class FrameTiming:

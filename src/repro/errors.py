@@ -18,13 +18,7 @@ reliability layers:
   file is damaged, truncated, or bound to a different run);
 * environment configuration — :class:`ConfigError` (a ``$REPRO_*``
   variable holds an unparsable or out-of-range value; raised up front with
-  the offending value instead of a raw ``ValueError`` deep in the pool);
-* the QoS serving layer — :class:`ServeError` and its concrete shapes
-  :class:`AdmissionRejectedError` (a tenant's frame request was refused —
-  queue full, SLO projection over budget, or an open circuit breaker) and
-  :class:`CircuitOpenError` (work was routed to a tenant whose breaker is
-  open). The admission controller normally *returns* these as typed
-  decision payloads rather than raising; strict callers raise them.
+  the offending value instead of a raw ``ValueError`` deep in the pool).
 
 :class:`CorruptTraceWarning` is emitted when a corrupted disk-cache entry
 is quarantined and transparently re-rendered instead of crashing the run;
@@ -47,9 +41,6 @@ __all__ = [
     "WorkerTimeoutError",
     "CheckpointCorruptError",
     "ConfigError",
-    "ServeError",
-    "AdmissionRejectedError",
-    "CircuitOpenError",
     "CorruptTraceWarning",
     "CorruptSimCacheWarning",
     "CorruptCheckpointWarning",
@@ -199,50 +190,6 @@ class ConfigError(ReproError, ValueError):
         self.detail = detail
         prefix = "$" if variable.isupper() else ""
         super().__init__(f"{prefix}{variable}={value!r}: {detail}")
-
-
-class ServeError(ReproError):
-    """Base class for QoS serving-layer failures."""
-
-
-class AdmissionRejectedError(ServeError):
-    """A tenant's frame request was refused at admission.
-
-    Attributes:
-        tenant: index of the tenant whose request was refused.
-        reason: one of ``"queue-full"`` (bounded queue at capacity —
-            backpressure), ``"slo"`` (projected completion would overrun
-            the tenant's declared frame-latency budget), or
-            ``"breaker-open"`` (the tenant's circuit breaker is open).
-    """
-
-    REASONS = ("queue-full", "slo", "breaker-open")
-
-    def __init__(self, tenant: int, reason: str):
-        if reason not in self.REASONS:
-            raise ValueError(
-                f"unknown admission-reject reason {reason!r}; "
-                f"choose from {self.REASONS}"
-            )
-        self.tenant = tenant
-        self.reason = reason
-        super().__init__(f"tenant {tenant}: request rejected ({reason})")
-
-
-class CircuitOpenError(ServeError):
-    """Work was routed to a tenant whose circuit breaker is open.
-
-    Attributes:
-        tenant: index of the tenant with the open breaker.
-        probe_epoch: first epoch at which a half-open probe is allowed.
-    """
-
-    def __init__(self, tenant: int, probe_epoch: int):
-        self.tenant = tenant
-        self.probe_epoch = probe_epoch
-        super().__init__(
-            f"tenant {tenant}: circuit open until probe at epoch {probe_epoch}"
-        )
 
 
 class CorruptTraceWarning(UserWarning):

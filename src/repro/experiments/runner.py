@@ -39,7 +39,6 @@ from repro.experiments import (
     exp_table5_6,
     exp_table7,
     exp_table8,
-    exp_serve,
     exp_tenancy,
     exp_vt,
 )
@@ -82,7 +81,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[Scale | None], ExperimentResult]]] =
     "abl-future": ("Ablation: future workload", exp_ablations.run_future_workload),
     "vt": ("Fault-tolerant virtual texturing (terrain)", exp_vt.run_vt),
     "tenancy": ("Multi-tenant serving contention", exp_tenancy.run_tenancy),
-    "serve": ("QoS serving under overload, faults, and chaos", exp_serve.run_serve),
 }
 
 

@@ -53,8 +53,6 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
     "load_checkpoint",
-    "flatten_state",
-    "unflatten_state",
 ]
 
 #: Bump when the serialized layout changes.
@@ -112,23 +110,6 @@ def _unflatten(node, arrays: dict[int, np.ndarray]):
     if isinstance(node, list):
         return [_unflatten(v, arrays) for v in node]
     return node
-
-
-def flatten_state(state) -> tuple[object, list[np.ndarray]]:
-    """Split a state tree into a JSON skeleton plus named array members.
-
-    Public face of the checkpoint flattener for other checkpointable
-    subsystems (the serving layer persists its breaker/queue/scheduler
-    state through this): any nest of dict/list/scalars/ndarrays becomes
-    ``(json_skeleton, arrays)``, invertible by :func:`unflatten_state`.
-    """
-    arrays: list[np.ndarray] = []
-    return _flatten(state, arrays), arrays
-
-
-def unflatten_state(skeleton, arrays: list[np.ndarray]):
-    """Inverse of :func:`flatten_state`."""
-    return _unflatten(skeleton, dict(enumerate(arrays)))
 
 
 @dataclass

@@ -23,7 +23,6 @@ Layers:
 
 from repro.vt.megatexture import MegaTexture
 from repro.vt.residency import PageResidency
-from repro.vt.shed import bias_cost_multiplier, shed_page_requests
 from repro.vt.streaming import PageRequest, PageStreamer
 from repro.vt.system import (
     FRAME_VT_FLOAT_COLUMNS,
@@ -43,6 +42,4 @@ __all__ = [
     "VirtualTextureSystem",
     "FRAME_VT_INT_COLUMNS",
     "FRAME_VT_FLOAT_COLUMNS",
-    "bias_cost_multiplier",
-    "shed_page_requests",
 ]

@@ -49,7 +49,6 @@ from repro.texture.fallback import fallback_page
 from repro.texture.tiling import L1_TILE_TEXELS, AddressSpace
 from repro.vt.megatexture import MegaTexture
 from repro.vt.residency import PageResidency
-from repro.vt.shed import shed_page_requests
 from repro.vt.streaming import PageStreamer
 
 __all__ = [
@@ -195,26 +194,16 @@ class VirtualTextureSystem:
         self._frame = 0
 
     # ------------------------------------------------------------------
-    def run_frame(self, pages: np.ndarray, shed_bias: int = 0) -> FrameVtStats:
+    def run_frame(self, pages: np.ndarray) -> FrameVtStats:
         """Page one frame; never blocks, always returns complete stats.
 
         ``pages`` are the frame's visible pages in first-touch order
-        (:func:`repro.raster.feedback.page_requests`). ``shed_bias`` is the load shedder's quality knob: a positive bias
-        requests every visible page ``shed_bias`` MIP levels coarser
-        (:func:`repro.vt.shed.shed_page_requests`), collapsing the page
-        set and its streaming traffic. Biased frames are accounted as
-        degraded — every visible page carries the shed bias on top of any
-        fallback bias — so shedding is never silent.
+        (:func:`repro.raster.feedback.page_requests`).
         """
         config = self.config
         stats = FrameVtStats()
-        pages = [
-            int(p) for p in shed_page_requests(self.mega, pages, shed_bias)
-        ]
+        pages = pages.tolist()
         stats.visible_pages = len(pages)
-        if shed_bias > 0:
-            stats.degraded_pages += len(pages)
-            stats.mip_bias_sum += shed_bias * len(pages)
 
         for page in pages:
             self.residency.touch(page)
