@@ -14,10 +14,10 @@ into the frame's stats (DESIGN §8.4). Every stage carries its state
 across calls and is invariant to how its stream is chunked, so blocking
 is exact; it keeps each per-ref temporary cache-sized at paper resolution.
 A multi-tenant run attributes each block to its tenants and feeds each
-run of one tenant's L1 misses to that tenant's TLB and L2. VT's feedback
-pass collects each block's visible pages; the fault link and the VT
-engine then run once per frame, on the frame's totals and its pages in
-first-touch order.
+run of one tenant's L1 misses to the shared TLB and to that tenant's L2.
+VT's feedback pass collects each block's visible pages; the fault link
+and the VT engine then run once per frame, on the frame's totals and its
+pages in first-touch order.
 
 Without an L2, the same machinery models the pull architecture: every L1
 miss is a 64-byte download over AGP.
@@ -47,7 +47,7 @@ from repro.reliability.transfer import (
     TransferPolicy,
 )
 from repro.tenancy.address import tenant_of_refs
-from repro.tenancy.partition import PartitionedL2, PartitionedTLB, TenancyConfig
+from repro.tenancy.partition import PartitionedL2, TenancyConfig
 from repro.tenancy.stats import FRAME_TENANT_COLUMNS, TenantFrameStats
 from repro.texture.tiling import AddressSpace, L1_BLOCK_BYTES
 from repro.trace.trace import FrameTrace, Trace
@@ -132,16 +132,6 @@ class HierarchyConfig:
                     f"total ways ({self.tenancy.ways}) must divide the L2 "
                     f"block count ({self.l2.n_blocks})"
                 )
-            if self.tenancy.tlb_quotas is not None:
-                if self.tlb_entries is None:
-                    raise ValueError(
-                        "tlb_quotas partition the TLB; configure tlb_entries"
-                    )
-                if sum(self.tenancy.tlb_quotas) > self.tlb_entries:
-                    raise ValueError(
-                        f"tenant TLB quotas {self.tenancy.tlb_quotas} exceed "
-                        f"the {self.tlb_entries} TLB entries"
-                    )
 
 
 @dataclass
@@ -559,14 +549,11 @@ class MultiLevelTextureCache:
             self.l2 = PartitionedL2(config.l2, space, self.tenancy)
         else:
             self.l2 = L2TextureCache(config.l2, space)
-        if config.tlb_entries is None:
-            self.tlb = None
-        elif self.tenancy is not None and self.tenancy.tlb_quotas is not None:
-            self.tlb = PartitionedTLB(
-                config.tlb_entries, config.tlb_policy, self.tenancy
-            )
-        else:
-            self.tlb = TextureTableTLB(config.tlb_entries, config.tlb_policy)
+        self.tlb = (
+            TextureTableTLB(config.tlb_entries, config.tlb_policy)
+            if config.tlb_entries is not None
+            else None
+        )
         self.link = (
             AgpTransferLink(config.fault_model, config.transfer_policy)
             if config.fault_model is not None and config.fault_model.active
@@ -656,13 +643,12 @@ class MultiLevelTextureCache:
                 l2_tile = self.config.l2.l2_tile_texels
                 gids, subs = self.space.l2_addresses(l1_res.miss_refs, l2_tile)
                 for t, s, e in runs:
-                    l2, tlb = self._levels(t)
-                    if tlb is not None:
-                        tlb_res = tlb.access_frame(gids[s:e])
+                    if self.tlb is not None:
+                        tlb_res = self.tlb.access_frame(gids[s:e])
                         tlb_acc[t or 0] += [
                             getattr(tlb_res, c) for c in FRAME_TLB_COLUMNS
                         ]
-                    l2_res = l2.access_blocks(gids[s:e], subs[s:e])
+                    l2_res = self._l2_of(t).access_blocks(gids[s:e], subs[s:e])
                     l2_acc[t or 0] += [getattr(l2_res, c) for c in FRAME_L2_COLUMNS]
                 part.l2 = L2FrameResult(*l2_acc.sum(axis=0).tolist())
                 if self.tlb is not None:
@@ -692,10 +678,10 @@ class MultiLevelTextureCache:
         """One block's per-tenant L1 counts and its L1 miss stream's runs.
 
         The L1 is shared and tenant-oblivious; its misses are split into
-        runs ``(tenant, start, stop)`` of equal tenant, each fed to that
-        tenant's TLB and L2. Both batched engines are invariant to call
-        chunking, so run-wise simulation is bit-identical to one call while
-        attributing every transaction to its tenant.
+        runs ``(tenant, start, stop)`` of equal tenant, each fed to the
+        shared TLB and to that tenant's L2. Both batched engines are
+        invariant to call chunking, so run-wise simulation is bit-identical
+        to one call while attributing every transaction to its tenant.
         """
         n = self.tenancy.n_tenants
         tenant_of = tenant_of_refs(refs, self._tid_bases)
@@ -712,20 +698,16 @@ class MultiLevelTextureCache:
         ]
         return counts, runs
 
-    def _levels(self, tenant: int | None):
-        """The L2 and TLB serving ``tenant`` (None: an untenanted run).
+    def _l2_of(self, tenant: int | None):
+        """The L2 serving ``tenant`` (None: an untenanted run).
 
         Looked up on every call rather than captured at construction, so
-        a level swapped in afterwards (the test oracle swaps them all) is
+        an L2 swapped in afterwards (the test oracle swaps them all) is
         the one that runs.
         """
-        l2, tlb = self.l2, self.tlb
-        if tenant is not None:
-            if self.tenancy.policy != "none":
-                l2 = l2.parts[tenant]
-            if self.tenancy.tlb_quotas is not None:
-                tlb = tlb.parts[tenant]
-        return l2, tlb
+        if tenant is None or self.tenancy.policy == "none":
+            return self.l2
+        return self.l2.parts[tenant]
 
     def run_trace(
         self,

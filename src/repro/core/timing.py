@@ -33,10 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hierarchy import FrameCacheStats, TraceRunResult
+from repro.core.hierarchy import (
+    FrameCacheStats,
+    TraceRunResult,
+    frames_to_columns,
+)
 from repro.texture.tiling import L1_BLOCK_BYTES
 
-__all__ = ["TimingModel", "FrameTiming", "estimate_frame_timings"]
+__all__ = [
+    "TimingModel",
+    "FrameTiming",
+    "transaction_cycles",
+    "frame_cycles",
+    "estimate_frame_timings",
+]
 
 
 @dataclass(frozen=True)
@@ -97,17 +107,47 @@ class FrameTiming:
         return self.bus_seconds > self.compute_seconds
 
 
-def _frame_cycles(stats: FrameCacheStats, model: TimingModel) -> float:
-    cycles = stats.texel_reads * model.l1_hit_cycles
-    if stats.l2 is None:
-        cycles += stats.l1_misses * model.host_download_cycles
+def transaction_cycles(
+    texel_reads,
+    l1_misses,
+    l2_full_hits,
+    l2_partial_hits,
+    l2_full_misses,
+    tlb_misses,
+    has_l2: bool,
+    model: TimingModel,
+) -> np.ndarray:
+    """Texturing cycles of transaction counts, elementwise over arrays.
+
+    Every cost term of the model in one place: per frame of a run, or
+    per frame and tenant of a multi-tenant run.
+    """
+    cycles = texel_reads * model.l1_hit_cycles
+    if has_l2:
+        cycles = cycles + l2_full_hits * model.l2_full_hit_cycles
+        cycles = cycles + l2_partial_hits * model.l2_partial_hit_cycles
+        cycles = cycles + l2_full_misses * model.l2_full_miss_cycles
     else:
-        cycles += stats.l2.full_hits * model.l2_full_hit_cycles
-        cycles += stats.l2.partial_hits * model.l2_partial_hit_cycles
-        cycles += stats.l2.full_misses * model.l2_full_miss_cycles
-    if stats.tlb is not None:
-        cycles += stats.tlb.misses * model.tlb_miss_penalty_cycles
-    return cycles
+        cycles = cycles + l1_misses * model.host_download_cycles
+    return cycles + tlb_misses * model.tlb_miss_penalty_cycles
+
+
+def frame_cycles(
+    frames: list[FrameCacheStats], model: TimingModel
+) -> np.ndarray:
+    """Per-frame texturing cycles of a run's frame stats."""
+    cols = frames_to_columns(frames)
+    none = np.zeros(len(frames), dtype=np.int64)
+    return transaction_cycles(
+        cols["texel_reads"],
+        cols["l1_misses"],
+        cols.get("l2_full_hits", none),
+        cols.get("l2_partial_hits", none),
+        cols.get("l2_full_misses", none),
+        cols["tlb_accesses"] - cols["tlb_hits"] if "tlb_hits" in cols else none,
+        "l2_accesses" in cols,
+        model,
+    )
 
 
 def estimate_frame_timings(
@@ -116,8 +156,9 @@ def estimate_frame_timings(
     """Estimate per-frame texturing times for a hierarchy run."""
     model = model or TimingModel()
     timings = []
-    for stats in result.frames:
-        cycles = _frame_cycles(stats, model)
+    for stats, cycles in zip(
+        result.frames, frame_cycles(result.frames, model).tolist()
+    ):
         # VT page streaming shares the AGP bus with demand-miss traffic.
         agp = stats.agp_bytes + stats.vt_stream_bytes
         timings.append(
@@ -166,8 +207,8 @@ def sanity_check_against_fractional_advantage(
     )
 
     model = model or TimingModel()
-    pull_cycles = sum(_frame_cycles(f, model) for f in pull.frames)
-    l2_cycles = sum(_frame_cycles(f, model) for f in l2.frames)
+    pull_cycles = sum(frame_cycles(pull.frames, model).tolist())
+    l2_cycles = sum(frame_cycles(l2.frames, model).tolist())
     timing_speedup = pull_cycles / l2_cycles if l2_cycles else float("inf")
 
     t1 = model.l1_hit_cycles

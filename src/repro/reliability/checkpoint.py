@@ -57,7 +57,7 @@ __all__ = [
 
 #: Bump when the serialized layout changes.
 #: v3 added per-tenant 2-D frame columns (``f_tenant_*``) and partitioned
-#: L2/TLB state trees for multi-tenant runs.
+#: L2 state trees for multi-tenant runs (the TLB is always shared).
 CHECKPOINT_VERSION = 3
 
 #: Layouts the reader accepts.

@@ -4,16 +4,15 @@ The subsystem turns the single-context simulator into the ROADMAP's
 serving scenario: N independent rendering contexts are tenant-tagged in
 the packed address space (:mod:`repro.tenancy.address`), interleaved into
 one shared stream by deterministic seeded schedulers
-(:mod:`repro.tenancy.schedule`), run through a shared or partitioned
-L2/TLB (:mod:`repro.tenancy.partition`), and scored with per-tenant
-fairness metrics (:mod:`repro.tenancy.metrics`). See DESIGN §11.
+(:mod:`repro.tenancy.schedule`), run through a shared or partitioned L2
+and one shared TLB (:mod:`repro.tenancy.partition`), and scored with
+per-tenant fairness metrics (:mod:`repro.tenancy.metrics`). See DESIGN §11.
 """
 
 from repro.tenancy.address import (
     TENANT_TID_CAPACITY,
     tag_refs,
     tenant_gid_extents,
-    tenant_of_gids,
     tenant_of_refs,
     tenant_tid_bases,
 )
@@ -28,7 +27,6 @@ from repro.tenancy.metrics import (
 from repro.tenancy.partition import (
     POLICIES,
     PartitionedL2,
-    PartitionedTLB,
     TenancyConfig,
     split_quota,
     static_quotas,
@@ -44,14 +42,12 @@ __all__ = [
     "tenant_tid_bases",
     "tenant_of_refs",
     "tenant_gid_extents",
-    "tenant_of_gids",
     "SCHEDULES",
     "DEFAULT_CHUNK_REFS",
     "merge_traces",
     "POLICIES",
     "TenancyConfig",
     "PartitionedL2",
-    "PartitionedTLB",
     "split_quota",
     "static_quotas",
     "way_quotas",

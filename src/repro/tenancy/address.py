@@ -15,7 +15,7 @@ needs no new bits and no translation changes:
   disjoint, contiguous gid range in the shared page table.
 
 Alias-freedom between tenants therefore holds by construction, and the
-tenant of any ref (or gid) is recoverable with one ``searchsorted``.
+tenant of any ref is recoverable with one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "tag_refs",
     "tenant_of_refs",
     "tenant_gid_extents",
-    "tenant_of_gids",
 ]
 
 #: Total texture ids available across all tenants of one merged space.
@@ -98,10 +97,3 @@ def tenant_gid_extents(
     return tuple(
         (int(starts[i]), int(starts[i + 1])) for i in range(len(bases))
     )
-
-
-def tenant_of_gids(gids: np.ndarray, extents) -> np.ndarray:
-    """Tenant index of every global block id, given :func:`tenant_gid_extents`."""
-    gids = np.asarray(gids, dtype=np.int64)
-    starts = np.asarray([e[0] for e in extents], dtype=np.int64)
-    return np.searchsorted(starts, gids, side="right") - 1

@@ -1,10 +1,10 @@
 """Fairness and QoS metrics for multi-tenant runs.
 
-The per-tenant frame cost mirrors the transaction cost model of
-:mod:`repro.core.timing` (`_frame_cycles`), applied to each tenant's slice
-of the frame: L1 hit cycles over its texel reads, conditional L2 service
-costs over its miss stream, TLB penalties over its translations. From
-those costs:
+The per-tenant frame cost is the transaction cost model of
+:mod:`repro.core.timing` (:func:`~repro.core.timing.transaction_cycles`),
+applied to each tenant's slice of the frame: L1 hit cycles over its texel
+reads, conditional L2 service costs over its miss stream, TLB penalties
+over its translations. From those costs:
 
 * **slowdown** of tenant *t* — mean shared-run frame cost over the mean
   frame cost of the same trace run *alone* on the same hierarchy (the
@@ -56,34 +56,14 @@ def tenant_matrix(frames, field: str) -> np.ndarray:
     return np.stack(rows)
 
 
-def _cost_matrix_us(
-    texel_reads,
-    l1_misses,
-    l2_full_hits,
-    l2_partial_hits,
-    l2_full_misses,
-    tlb_misses,
-    has_l2: bool,
-    model: TimingModel,
-) -> np.ndarray:
-    cycles = texel_reads * model.l1_hit_cycles
-    if has_l2:
-        cycles = cycles + l2_full_hits * model.l2_full_hit_cycles
-        cycles = cycles + l2_partial_hits * model.l2_partial_hit_cycles
-        cycles = cycles + l2_full_misses * model.l2_full_miss_cycles
-    else:
-        cycles = cycles + l1_misses * model.host_download_cycles
-    cycles = cycles + tlb_misses * model.tlb_miss_penalty_cycles
-    return cycles / model.clock_hz * 1e6
-
-
 def tenant_frame_costs_us(
     frames, model: TimingModel | None = None
 ) -> np.ndarray:
     """Per-frame, per-tenant texturing cost in µs: (n_frames, n_tenants)."""
+    from repro.core.timing import transaction_cycles
+
     model = _resolve_model(model)
-    has_l2 = any(f.l2 is not None for f in frames)
-    return _cost_matrix_us(
+    cycles = transaction_cycles(
         tenant_matrix(frames, "texel_reads"),
         tenant_matrix(frames, "l1_misses"),
         tenant_matrix(frames, "l2_full_hits"),
@@ -91,35 +71,18 @@ def tenant_frame_costs_us(
         tenant_matrix(frames, "l2_full_misses"),
         tenant_matrix(frames, "tlb_accesses")
         - tenant_matrix(frames, "tlb_hits"),
-        has_l2,
+        any(f.l2 is not None for f in frames),
         model,
     )
+    return cycles / model.clock_hz * 1e6
 
 
 def frame_costs_us(frames, model: TimingModel | None = None) -> np.ndarray:
     """Per-frame texturing cost in µs of a (single-tenant) run."""
+    from repro.core.timing import frame_cycles
+
     model = _resolve_model(model)
-    has_l2 = any(f.l2 is not None for f in frames)
-    return _cost_matrix_us(
-        np.array([f.texel_reads for f in frames], dtype=np.int64),
-        np.array([f.l1_misses for f in frames], dtype=np.int64),
-        np.array(
-            [f.l2.full_hits if f.l2 else 0 for f in frames], dtype=np.int64
-        ),
-        np.array(
-            [f.l2.partial_hits if f.l2 else 0 for f in frames],
-            dtype=np.int64,
-        ),
-        np.array(
-            [f.l2.full_misses if f.l2 else 0 for f in frames],
-            dtype=np.int64,
-        ),
-        np.array(
-            [f.tlb.misses if f.tlb else 0 for f in frames], dtype=np.int64
-        ),
-        has_l2,
-        model,
-    )
+    return frame_cycles(frames, model) / model.clock_hz * 1e6
 
 
 def slowdowns(

@@ -1,4 +1,6 @@
-"""L2/TLB partitioning policies for multi-tenant streams.
+"""L2 partitioning policies for multi-tenant streams.
+
+Every policy partitions the L2 only; all tenants share the one TLB.
 
 Partitioning is implemented by *composition*, not by touching the cache
 kernels: a strict partition of a shared cache is exactly equivalent to
@@ -34,14 +36,12 @@ from repro.core.l2_cache import (
     L2TextureCache,
     SetAssociativeL2Cache,
 )
-from repro.core.tlb import TextureTableTLB
 from repro.texture.tiling import AddressSpace
 
 __all__ = [
     "POLICIES",
     "TenancyConfig",
     "PartitionedL2",
-    "PartitionedTLB",
     "split_quota",
     "static_quotas",
     "way_quotas",
@@ -62,15 +62,12 @@ class TenancyConfig:
             ``static``/``utility`` (block quotas), ``way`` (way quotas).
         quotas: per-tenant quota; physical blocks for ``static``/
             ``utility``, ways for ``way``. None only for ``none``.
-        tlb_quotas: optional per-tenant TLB entry quotas (shared TLB
-            when None).
         ways: total ways of the way-partitioned array (``way`` only).
     """
 
     tid_bases: tuple[int, ...]
     policy: str = "none"
     quotas: tuple[int, ...] | None = None
-    tlb_quotas: tuple[int, ...] | None = None
     ways: int = 8
 
     def __post_init__(self) -> None:
@@ -80,10 +77,6 @@ class TenancyConfig:
         if self.quotas is not None:
             object.__setattr__(
                 self, "quotas", tuple(int(q) for q in self.quotas)
-            )
-        if self.tlb_quotas is not None:
-            object.__setattr__(
-                self, "tlb_quotas", tuple(int(q) for q in self.tlb_quotas)
             )
         if not self.tid_bases or self.tid_bases[0] != 0:
             raise ValueError(
@@ -113,14 +106,6 @@ class TenancyConfig:
             if any(q < 1 for q in self.quotas):
                 raise ValueError(
                     f"quotas must be >= 1: {self.quotas}"
-                )
-        if self.tlb_quotas is not None:
-            if len(self.tlb_quotas) != n or any(
-                q < 1 for q in self.tlb_quotas
-            ):
-                raise ValueError(
-                    f"tlb_quotas must be {n} positive entries, "
-                    f"got {self.tlb_quotas}"
                 )
         if self.ways < 1:
             raise ValueError(f"ways must be >= 1, got {self.ways}")
@@ -201,42 +186,6 @@ class PartitionedL2:
         if len(parts) != len(self.parts):
             raise ValueError(
                 "L2 partition checkpoint does not match the tenant count"
-            )
-        for part, sub in zip(self.parts, parts):
-            part.restore_state(sub)
-
-
-class PartitionedTLB:
-    """Strictly partitioned TLB: one private sub-TLB per tenant.
-
-    The hierarchy translates each tenant's L1 misses in ``parts[tenant]``.
-    """
-
-    def __init__(
-        self,
-        n_entries: int,
-        policy: str,
-        tenancy: TenancyConfig,
-    ):
-        quotas = tenancy.tlb_quotas
-        if quotas is None:
-            raise ValueError("PartitionedTLB needs tlb_quotas")
-        if sum(quotas) > n_entries:
-            raise ValueError(
-                f"TLB quotas {quotas} exceed the {n_entries} entries"
-            )
-        self.parts = [TextureTableTLB(q, policy) for q in quotas]
-
-    def snapshot_state(self) -> dict:
-        """Per-partition state for frame-granular checkpointing."""
-        return {"parts": [p.snapshot_state() for p in self.parts]}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot_state` tree; inverse of the snapshot."""
-        parts = state["parts"]
-        if len(parts) != len(self.parts):
-            raise ValueError(
-                "TLB partition checkpoint does not match the tenant count"
             )
         for part, sub in zip(self.parts, parts):
             part.restore_state(sub)

@@ -116,35 +116,30 @@ def _merge_frame(
     chunk_refs: int,
 ) -> FrameTrace:
     """Interleave one frame's tenant streams (the merge inner loop)."""
-    ref_chunks: list[list[np.ndarray]] = []
-    weight_chunks: list[list[np.ndarray]] = []
-    for t, trace in enumerate(traces):
-        frame = trace.frames[f]
-        tagged = tag_refs(frame.refs, bases[t])
-        bounds = np.arange(chunk_refs, len(tagged), chunk_refs)
-        ref_chunks.append(np.split(tagged, bounds))
-        weight_chunks.append(np.split(frame.weights, bounds))
-    counts = [len(c) for c in ref_chunks]
+    frames = [trace.frames[f] for trace in traces]
+    tagged = [tag_refs(frame.refs, base) for frame, base in zip(frames, bases)]
+    weights = [frame.weights for frame in frames]
+    # Chunk k of a tenant is entries [k * chunk_refs, (k + 1) * chunk_refs);
+    # an empty stream is one empty chunk.
+    counts = [-(-max(len(r), 1) // chunk_refs) for r in tagged]
     order_t, order_k = _emission_order(schedule, counts, warr, seed, f)
-    refs = np.concatenate(
-        [ref_chunks[t][k] for t, k in zip(order_t, order_k)]
-    )
-    wts = np.concatenate(
-        [weight_chunks[t][k] for t, k in zip(order_t, order_k)]
-    )
+    cuts = [
+        (t, k * chunk_refs, (k + 1) * chunk_refs)
+        for t, k in zip(order_t.tolist(), order_k.tolist())
+    ]
     return FrameTrace(
-        refs=refs,
-        weights=wts,
-        n_fragments=sum(t.frames[f].n_fragments for t in traces),
+        refs=np.concatenate([tagged[t][s:e] for t, s, e in cuts]),
+        weights=np.concatenate([weights[t][s:e] for t, s, e in cuts]),
+        n_fragments=sum(frame.n_fragments for frame in frames),
     )
 
 
 class _LazyMergedFrames:
     """Sequence that merges each frame on access instead of up front.
 
-    With streamed per-tenant traces underneath, a hundred-tenant merged
-    stream never materializes more than the frame being simulated — the
-    out-of-core path the full-scale sweeps rely on.
+    With streamed per-tenant traces underneath, a merged stream never
+    holds more than the frame being simulated, however many tenants share
+    it.
     """
 
     def __init__(self, traces, bases, schedule, warr, seed, chunk_refs):
@@ -188,7 +183,6 @@ def merge_traces(
     seed: int = 0,
     chunk_refs: int = DEFAULT_CHUNK_REFS,
     workload: str | None = None,
-    lazy: bool = False,
 ) -> tuple[Trace, tuple[int, ...]]:
     """Merge per-tenant traces into one shared stream.
 
@@ -197,10 +191,9 @@ def merge_traces(
     object may appear several times (homogeneous multi-programming); each
     occurrence becomes an independent tenant with its own texture copies.
 
-    With ``lazy=True`` the merged trace's ``frames`` is a lazy sequence
-    that interleaves each frame on access (bit-identical entries), so a
+    The merged trace's ``frames`` interleaves each frame on access, so a
     merge over streamed tenant traces holds at most one merged frame in
-    RAM. Eager merges (the default) stay materialized lists.
+    RAM.
     """
     traces = list(traces)
     if schedule not in SCHEDULES:
@@ -232,13 +225,7 @@ def merge_traces(
     bases = tenant_tid_bases([len(t.textures) for t in traces])
     textures = [tex for t in traces for tex in t.textures]
 
-    if lazy:
-        frames = _LazyMergedFrames(traces, bases, schedule, warr, seed, chunk_refs)
-    else:
-        frames = [
-            _merge_frame(traces, f, bases, schedule, warr, seed, chunk_refs)
-            for f in range(n_frames)
-        ]
+    frames = _LazyMergedFrames(traces, bases, schedule, warr, seed, chunk_refs)
 
     first = traces[0].meta
     meta = TraceMeta(

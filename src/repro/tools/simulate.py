@@ -364,14 +364,11 @@ def main(argv: list[str] | None = None) -> int:
 
         tenant_traces = [trace] * args.tenants
         weights = args.tenant_weight_values
-        # Lazy merge: each interleaved frame is built on access, so a
-        # streamed input never materializes the full multi-tenant stream.
         trace, tid_bases = merge_traces(
             tenant_traces,
             schedule=args.tenant_schedule,
             weights=weights,
             seed=args.tenant_seed,
-            lazy=True,
         )
         quotas = None
         if args.tenant_policy == "static":

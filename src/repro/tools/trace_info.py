@@ -8,7 +8,7 @@ Usage::
     python -m repro.tools.trace_info mrc trace.stream \\
         [--l1-sizes 2,4,8,16,32] [--ways 2] [--sample 1] [--json]
     python -m repro.tools.trace_info tenants a.stream b.stream \\
-        [--schedule rr] [--seed 0] [--l2-tile 16] [--json]
+        [--l2-tile 16] [--json]
     python -m repro.tools.trace_info tenants trace.stream --tenants 4
 """
 
@@ -142,38 +142,39 @@ def _mrc_main(argv: list[str]) -> int:
     return 0
 
 
+def _footprint_blocks(trace, l2_tile: int) -> int:
+    """Distinct L2 blocks a trace touches, counted block by block."""
+    space = trace.address_space
+    seen = np.zeros(space.total_l2_blocks(l2_tile), dtype=bool)
+    for frame in trace.frames:
+        for refs, _ in frame.blocks(sys.maxsize):
+            seen[space.global_l2_ids(refs, l2_tile)] = True
+    return int(np.count_nonzero(seen))
+
+
 def _tenants_main(argv: list[str]) -> int:
-    """``trace_info tenants``: per-tenant fingerprint of a merged stream."""
+    """``trace_info tenants``: each tenant's share of a merged address space."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.trace_info tenants",
-        description="Merge per-tenant traces into one shared stream and "
-                    "print each tenant's footprint and locality fingerprint.",
+        description="Lay per-tenant traces out in one shared address space "
+                    "and print each tenant's footprint and locality "
+                    "fingerprint.",
     )
     parser.add_argument("traces", nargs="+",
                         help="per-tenant trace directories (.stream); pass "
                              "one with --tenants N to clone it")
     parser.add_argument("--tenants", type=int, metavar="N", default=None,
                         help="clone a single trace into N tenant contexts")
-    parser.add_argument("--schedule", default="rr",
-                        help="interleaving schedule (default rr)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="scheduler seed (default 0)")
     parser.add_argument("--l2-tile", type=int, default=16,
                         help="L2 block edge in texels (default 16)")
     parser.add_argument("--json", action="store_true",
                         help="emit the per-tenant fingerprints as JSON")
     args = parser.parse_args(argv)
 
-    from repro.tenancy import SCHEDULES, merge_traces
-    from repro.tenancy import tenant_gid_extents, tenant_of_gids
-    from repro.texture.tiling import L1_BLOCK_BYTES
+    from repro.tenancy import tenant_gid_extents, tenant_tid_bases
+    from repro.texture.tiling import L1_BLOCK_BYTES, AddressSpace
     from repro.trace.locality import locality_fractions
 
-    if args.schedule not in SCHEDULES:
-        parser.error(
-            f"--schedule must be one of {', '.join(SCHEDULES)}, "
-            f"got {args.schedule!r}"
-        )
     paths = list(args.traces)
     if args.tenants is not None:
         if len(paths) != 1:
@@ -186,30 +187,27 @@ def _tenants_main(argv: list[str]) -> int:
     opened = {p: _open(parser, p) for p in paths}
     traces = [opened[p] for p in paths]
 
-    merged, tid_bases = merge_traces(
-        traces, schedule=args.schedule, seed=args.seed
-    )
+    tid_bases = tenant_tid_bases([len(t.textures) for t in traces])
     extents = tenant_gid_extents(
-        merged.address_space, tid_bases, args.l2_tile
+        AddressSpace([tex for t in traces for tex in t.textures]),
+        tid_bases,
+        args.l2_tile,
     )
-    # Footprint: distinct L2 blocks each tenant touches in the merged
-    # stream. Tenant gid ranges are disjoint, so one bincount suffices.
-    refs = np.concatenate([f.refs for f in merged.frames])
-    gids, _ = merged.address_space.l2_addresses(refs, args.l2_tile)
-    uniq = np.unique(gids)
-    footprints = np.bincount(
-        tenant_of_gids(uniq, extents), minlength=len(traces)
-    )
+    # A tenant's gids in the merged page table are its own gids shifted by
+    # its extent base, so its footprint is counted on its own trace (once
+    # per distinct trace: clones share it). Locality classes need object
+    # offsets, which only the tenant's own trace carries.
+    footprints = {p: _footprint_blocks(t, args.l2_tile) for p, t in opened.items()}
+    localities = {}
+    for p, trace in opened.items():
+        try:
+            localities[p] = locality_fractions(trace, args.l2_tile)
+        except ValueError:
+            localities[p] = None
     block_bytes = (args.l2_tile // 4) ** 2 * L1_BLOCK_BYTES
 
     tenants = []
     for t, (trace, path) in enumerate(zip(traces, paths)):
-        # Locality classes need object offsets — fingerprint the tenant's
-        # original trace (the merged stream is chunked, not object-shaped).
-        try:
-            locality = locality_fractions(trace, args.l2_tile)
-        except ValueError:
-            locality = None
         tenants.append({
             "tenant": t,
             "trace": path,
@@ -218,25 +216,21 @@ def _tenants_main(argv: list[str]) -> int:
             "tid_base": tid_bases[t],
             "gid_range": list(extents[t]),
             "texel_reads": trace.total_texel_reads(),
-            "footprint_blocks": int(footprints[t]),
-            "footprint_bytes": int(footprints[t]) * block_bytes,
-            "locality": locality,
+            "footprint_blocks": footprints[path],
+            "footprint_bytes": footprints[path] * block_bytes,
+            "locality": localities[path],
         })
 
     if args.json:
         print(json.dumps({
-            "schedule": args.schedule,
-            "seed": args.seed,
             "l2_tile": args.l2_tile,
-            "merged_workload": merged.meta.workload,
             "tenants": tenants,
         }, indent=2))
         return 0
 
-    print(f"merged: {merged.meta.workload}")
     print(
-        f"  {len(tenants)} tenants, schedule={args.schedule}, "
-        f"seed={args.seed}, {args.l2_tile}x{args.l2_tile} blocks"
+        f"{len(tenants)} tenants in one address space, "
+        f"{args.l2_tile}x{args.l2_tile} blocks"
     )
     classes = sorted(
         {k for t in tenants if t["locality"] for k in t["locality"]}

@@ -73,7 +73,7 @@ CONFIGS = {
         **_l2(
             tlb_entries=4,
             tenancy=TenancyConfig(
-                tid_bases=(0, 1), policy="way", quotas=(4, 4), tlb_quotas=(2, 2)
+                tid_bases=(0, 1), policy="way", quotas=(4, 4)
             ),
         )
     ),

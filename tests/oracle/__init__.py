@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.core.hierarchy import HierarchyConfig, MultiLevelTextureCache
 from repro.core.l2_cache import SetAssociativeL2Cache
-from repro.tenancy.partition import PartitionedL2, PartitionedTLB
+from repro.tenancy.partition import PartitionedL2
 from repro.texture.tiling import AddressSpace
 
 from tests.oracle.cache import (
@@ -61,9 +61,9 @@ def reference_hierarchy(
     """A :class:`MultiLevelTextureCache` running every level on its oracle.
 
     Builds the production hierarchy, then swaps in fresh oracle instances
-    for the L1, the L2 (or each tenant partition of it) and the TLB (or
-    each tenant partition). Everything else — VT, the faulty link, tenant
-    attribution, checkpointing — is the production code.
+    for the L1, the L2 (or each tenant partition of it) and the TLB.
+    Everything else — VT, the faulty link, tenant attribution,
+    checkpointing — is the production code.
     """
     sim = MultiLevelTextureCache(config, space)
     sim.l1 = ReferenceL1(config.l1)
@@ -71,8 +71,6 @@ def reference_hierarchy(
         sim.l2.parts = [_reference_l2(p) for p in sim.l2.parts]
     elif sim.l2 is not None:
         sim.l2 = _reference_l2(sim.l2)
-    if isinstance(sim.tlb, PartitionedTLB):
-        sim.tlb.parts = [ReferenceTLB(p.n_entries, p.policy) for p in sim.tlb.parts]
-    elif sim.tlb is not None:
+    if sim.tlb is not None:
         sim.tlb = ReferenceTLB(sim.tlb.n_entries, sim.tlb.policy)
     return sim

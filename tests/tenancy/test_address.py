@@ -7,7 +7,6 @@ from repro.tenancy.address import (
     TENANT_TID_CAPACITY,
     tag_refs,
     tenant_gid_extents,
-    tenant_of_gids,
     tenant_of_refs,
     tenant_tid_bases,
 )
@@ -77,15 +76,17 @@ class TestGidExtents:
         assert extents[-1][1] == last_start + last_len
 
     def test_tenant_of_gids_matches_ref_owners(self, village_trace, city_trace):
-        merged, bases = merge_traces([village_trace, city_trace])
+        # A tenant's gids in the merged page table are its own gids, in
+        # order, shifted by the start of its extent.
+        traces = [village_trace, city_trace]
+        merged, bases = merge_traces(traces)
         space = merged.address_space
         extents = tenant_gid_extents(space, bases, 16)
-        refs = np.concatenate([f.refs for f in merged.frames])
-        gids, _ = space.l2_addresses(refs, 16)
-        assert np.array_equal(
-            tenant_of_gids(gids, extents), tenant_of_refs(refs, bases)
-        )
-        # Boundary gids land on the owning side.
-        for t, (start, stop) in enumerate(extents):
-            assert tenant_of_gids(np.array([start]), extents)[0] == t
-            assert tenant_of_gids(np.array([stop - 1]), extents)[0] == t
+        for f, frame in enumerate(merged.frames):
+            owners = tenant_of_refs(frame.refs, bases)
+            gids = space.global_l2_ids(frame.refs, 16)
+            for t, trace in enumerate(traces):
+                own = trace.address_space.global_l2_ids(trace.frames[f].refs, 16)
+                start, stop = extents[t]
+                assert np.array_equal(gids[owners == t], own + start)
+                assert np.all(own + start < stop)

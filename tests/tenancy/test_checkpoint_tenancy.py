@@ -33,7 +33,6 @@ def _way_config(bases):
             tid_bases=bases,
             policy="way",
             quotas=(4, 4),
-            tlb_quotas=(4, 4),
             ways=8,
         )
     )
@@ -92,7 +91,6 @@ class TestTenancyCheckpointing:
         warm.run_frame(merged.frames[0])
         state = warm.snapshot_state()
         assert len(state["l2"]["parts"]) == 2
-        assert len(state["tlb"]["parts"]) == 2
 
         cold = MultiLevelTextureCache(config, merged.address_space)
         cold.restore_state(state)

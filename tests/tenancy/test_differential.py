@@ -44,7 +44,7 @@ def _config(tenancy, tlb_entries=8):
     )
 
 
-def _tenancy(policy, bases, traces, tlb_quotas=None):
+def _tenancy(policy, bases, traces):
     if policy == "static":
         quotas = static_quotas(L2, len(traces))
     elif policy == "way":
@@ -57,7 +57,6 @@ def _tenancy(policy, bases, traces, tlb_quotas=None):
         tid_bases=bases,
         policy=policy,
         quotas=quotas,
-        tlb_quotas=tlb_quotas,
         ways=8,
     )
 
@@ -87,23 +86,6 @@ class TestEngineIdentity:
         for f in batched.frames:
             assert f.tenants is not None and f.tenants.n_tenants == 2
 
-    def test_partitioned_tlb_bit_identical(
-        self, merged_pair, village_trace, city_trace
-    ):
-        merged, bases = merged_pair
-        config = _config(
-            _tenancy(
-                "static", bases, [village_trace, city_trace], tlb_quotas=(4, 4)
-            )
-        )
-        batched = MultiLevelTextureCache(
-            config, merged.address_space
-        ).run_trace(merged)
-        reference = reference_hierarchy(
-            config, merged.address_space
-        ).run_trace(merged)
-        assert batched.frames == reference.frames
-
     def test_bursty_weighted_stream_bit_identical(
         self, village_trace, city_trace
     ):
@@ -124,23 +106,23 @@ class TestEngineIdentity:
 
 
 class TestOracleReach:
-    @pytest.mark.parametrize("tlb_quotas", [None, (4, 4)], ids=["tlb", "tlb-parts"])
+    @pytest.mark.parametrize("tlb_entries", [8, None], ids=["tlb", "no-tlb"])
     @pytest.mark.parametrize("policy", POLICIES)
     def test_every_installed_oracle_runs(
-        self, merged_pair, village_trace, city_trace, policy, tlb_quotas, monkeypatch
+        self, merged_pair, village_trace, city_trace, policy, tlb_entries, monkeypatch
     ):
         merged, bases = merged_pair
-        tenancy = _tenancy(policy, bases, [village_trace, city_trace], tlb_quotas)
-        sim = reference_hierarchy(_config(tenancy), merged.address_space)
+        tenancy = _tenancy(policy, bases, [village_trace, city_trace])
+        sim = reference_hierarchy(
+            _config(tenancy, tlb_entries), merged.address_space
+        )
         levels = [(sim.l1, "access_frame", ReferenceL1)]
         levels += [
             (l2, "access_blocks", (ReferenceL2, ReferenceSetAssociativeL2))
             for l2 in getattr(sim.l2, "parts", [sim.l2])
         ]
-        levels += [
-            (tlb, "access_frame", ReferenceTLB)
-            for tlb in getattr(sim.tlb, "parts", [sim.tlb])
-        ]
+        if tlb_entries is not None:
+            levels.append((sim.tlb, "access_frame", ReferenceTLB))
         served = [0] * len(levels)
         for i, (level, method, oracle) in enumerate(levels):
             assert isinstance(level, oracle), type(level).__name__

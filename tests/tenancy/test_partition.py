@@ -6,7 +6,6 @@ from repro.core.l2_cache import L2CacheConfig
 from repro.tenancy.partition import (
     POLICIES,
     PartitionedL2,
-    PartitionedTLB,
     TenancyConfig,
     split_quota,
     static_quotas,
@@ -22,7 +21,6 @@ class TestTenancyConfig:
         assert TenancyConfig(tid_bases=(0, 3)).n_tenants == 2
         TenancyConfig(tid_bases=(0, 3), policy="static", quotas=(32, 32))
         TenancyConfig(tid_bases=(0, 3), policy="way", quotas=(4, 4), ways=8)
-        TenancyConfig(tid_bases=(0, 3), tlb_quotas=(4, 4))
 
     def test_rejects_bad_tid_bases(self):
         with pytest.raises(ValueError, match="start at 0"):
@@ -56,12 +54,6 @@ class TestTenancyConfig:
                 tid_bases=(0, 3), policy="way", quotas=(5, 4), ways=8
             )
 
-    def test_tlb_quota_validation(self):
-        with pytest.raises(ValueError, match="tlb_quotas"):
-            TenancyConfig(tid_bases=(0, 3), tlb_quotas=(4,))
-        with pytest.raises(ValueError, match="tlb_quotas"):
-            TenancyConfig(tid_bases=(0, 3), tlb_quotas=(4, 0))
-
 
 class TestPartitionedComponents:
     def test_l2_requires_partitioning_policy(self, village_trace):
@@ -82,11 +74,6 @@ class TestPartitionedComponents:
         )
         with pytest.raises(ValueError, match="must divide"):
             PartitionedL2(L2_64K, village_trace.address_space, tenancy)
-
-    def test_tlb_quotas_must_fit(self):
-        tenancy = TenancyConfig(tid_bases=(0, 3), tlb_quotas=(6, 6))
-        with pytest.raises(ValueError, match="exceed the 8 entries"):
-            PartitionedTLB(8, "round_robin", tenancy)
 
 
 class TestSplitQuota:

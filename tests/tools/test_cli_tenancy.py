@@ -3,12 +3,15 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.tenancy import merge_traces, tenant_gid_extents, tenant_of_refs
 from repro.tools.render import main as render_main
 from repro.tools.simulate import main as simulate_main, validate_tenant_flags
 from repro.tools.trace_info import main as trace_info_main
+from repro.trace.stream import open_trace
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +120,37 @@ class TestTraceInfoTenants:
         # Contiguous, non-overlapping tenant gid ranges.
         for (lo, hi), (lo2, _) in zip(gid_ranges, gid_ranges[1:]):
             assert lo < hi == lo2
+
+    @pytest.mark.parametrize("clone", [False, True], ids=["pair", "clone3"])
+    def test_matches_merged_stream_reference(
+        self, trace_file, second_trace, clone, capsys
+    ):
+        if clone:
+            paths, argv = [trace_file] * 3, [str(trace_file), "--tenants", "3"]
+        else:
+            paths = [second_trace, trace_file]
+            argv = [str(p) for p in paths]
+        assert trace_info_main(["tenants", *argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["tenants"]
+
+        # Reference: read every number off the merged stream itself.
+        merged, bases = merge_traces([open_trace(p) for p in paths])
+        space = merged.address_space
+        extents = tenant_gid_extents(space, bases, 16)
+        refs = np.concatenate([f.refs for f in merged.frames])
+        weights = np.concatenate([f.weights for f in merged.frames])
+        gids, _ = space.l2_addresses(refs, 16)
+        starts = [start for start, _ in extents]
+        footprints = np.bincount(
+            np.searchsorted(starts, np.unique(gids), side="right") - 1,
+            minlength=len(paths),
+        )
+        reads = np.bincount(
+            tenant_of_refs(refs, bases), weights=weights, minlength=len(paths)
+        )
+        assert [t["footprint_blocks"] for t in payload] == footprints.tolist()
+        assert [tuple(t["gid_range"]) for t in payload] == list(extents)
+        assert [t["texel_reads"] for t in payload] == reads.astype(int).tolist()
 
     def test_clone_flag_requires_single_trace(
         self, trace_file, second_trace, capsys

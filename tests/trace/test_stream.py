@@ -9,7 +9,8 @@ from repro.core.hierarchy import HierarchyConfig, MultiLevelTextureCache
 from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
 from repro.errors import TraceCorruptionError, TraceFormatError
-from repro.tenancy.schedule import merge_traces
+from repro.tenancy.address import tag_refs
+from repro.tenancy.schedule import _emission_order, merge_traces
 from repro.texture.texture import Texture
 from repro.trace.stream import (
     DEFAULT_CHUNK_REFS,
@@ -274,24 +275,34 @@ class TestConsumers:
             f.l2.full_misses for f in res_str.frames
         ]
 
-    def test_lazy_merge_identical_to_eager(self, tmp_path):
+    def test_lazy_merge_identical_to_eager(self):
+        # Reference: the whole merge up front, chunks cut with np.split.
         t1, t2 = make_trace(seed=3), make_trace(seed=4)
-        eager, bases_e = merge_traces([t1, t2], schedule="weighted",
-                                      weights=[1.0, 3.0], seed=7)
-        lazy, bases_l = merge_traces([t1, t2], schedule="weighted",
-                                     weights=[1.0, 3.0], seed=7, lazy=True)
-        assert bases_e == bases_l
-        assert len(lazy.frames) == len(eager.frames)
-        for a, b in zip(eager.frames, lazy.frames):
-            frames_equal(a, b)
-        assert lazy.fingerprint() == eager.fingerprint()
+        lazy, bases = merge_traces([t1, t2], schedule="weighted",
+                                   weights=[1.0, 3.0], seed=7, chunk_refs=64)
+        warr = np.array([1.0, 3.0])
+        for f, got in enumerate(lazy.frames):
+            refs, weights = [], []
+            for trace, base in zip((t1, t2), bases):
+                frame = trace.frames[f]
+                bounds = np.arange(64, len(frame.refs), 64)
+                refs.append(np.split(tag_refs(frame.refs, base), bounds))
+                weights.append(np.split(frame.weights, bounds))
+            order = list(zip(*_emission_order(
+                "weighted", [len(r) for r in refs], warr, 7, f
+            )))
+            frames_equal(got, FrameTrace(
+                refs=np.concatenate([refs[t][k] for t, k in order]),
+                weights=np.concatenate([weights[t][k] for t, k in order]),
+                n_fragments=t1.frames[f].n_fragments + t2.frames[f].n_fragments,
+            ))
 
     def test_lazy_merge_of_streamed_tenants(self, tmp_path):
         trace = make_trace()
         path = tmp_path / "t.stream"
         save_stream(trace, path, chunk_refs=128)
         st = StreamingTrace(path)
-        eager, _ = merge_traces([trace, trace], schedule="rr", seed=1)
-        lazy, _ = merge_traces([st, st], schedule="rr", seed=1, lazy=True)
-        for a, b in zip(eager.frames, lazy.frames):
+        in_ram, _ = merge_traces([trace, trace], schedule="rr", seed=1)
+        streamed, _ = merge_traces([st, st], schedule="rr", seed=1)
+        for a, b in zip(in_ram.frames, streamed.frames):
             frames_equal(a, b)
