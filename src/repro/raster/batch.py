@@ -228,9 +228,11 @@ def rasterize_triangles(
     x2a, y2a = p[:, 2, 0], p[:, 2, 1]
 
     # Twice the signed area; front faces are clockwise in pixel space
-    # (area2 < 0), exactly as in the reference.
+    # (area2 < 0), exactly as in the reference. A zero or subnormal area
+    # has no finite 1/area2, so the triangle is degenerate.
     area2_all = (x1a - x0a) * (y2a - y0a) - (x2a - x0a) * (y1a - y0a)
-    live = area2_all != 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        live = np.isfinite(1.0 / area2_all)
     ds = np.asarray(double_sided, dtype=bool)
     if ds.ndim:
         live &= (area2_all < 0.0) | ds.reshape(-1)

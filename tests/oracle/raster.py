@@ -69,8 +69,9 @@ def rasterize_triangle(
     # from the front in world space (y up); the y flip of the viewport
     # transform makes front faces *clockwise* in pixel space, i.e. area2 < 0.
     area2 = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    if area2 == 0.0:
-        return None
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.isfinite(1.0 / area2):
+            return None  # zero or subnormal area: degenerate
     if area2 > 0.0 and not double_sided:
         return None  # back face
 

@@ -8,6 +8,8 @@ trace streams, under both raster orders, with clipped geometry, secondary
 textures, depth testing, and shading. These tests are that proof.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,26 @@ class TestKernelDifferential:
         assert counts[0] == counts[2] > 0
         # tri_ids group fragments by triangle in input order.
         assert np.all(np.diff(got.tri_ids) >= 0)
+
+    def test_subnormal_area_is_degenerate(self):
+        # Twice the area is ~2.2e-311, so 1/area2 overflows: both engines
+        # must drop the triangle rather than emit NaN attributes.
+        screen = np.array([[[0.0, 0.0], [0.0, 2.225e-311], [1.0, 1.0]]])
+        uv = np.array([[[0, 0], [1, 0], [0, 1]]], dtype=np.float64)
+        kw = dict(width=8, height=8, tex_width=TEXW, tex_height=TEXH,
+                  double_sided=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = rasterize_triangles(
+                screen_xy=screen, inv_w=np.ones((1, 3)), uv=uv,
+                z_ndc=np.zeros((1, 3)), **kw,
+            )
+            ref = rasterize_triangle(
+                screen_xy=screen[0], inv_w=np.ones(3), uv=uv[0],
+                z_ndc=np.zeros(3), **kw,
+            )
+        assert len(got) == 0
+        assert ref is None
 
 
 def _strip(n_tris, y0=0.0):

@@ -5,7 +5,7 @@ production rasterizer matches bit for bit (``test_batch_differential``).
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tests.oracle import rasterize_triangle
@@ -122,6 +122,7 @@ class TestGeometricInvariants:
         assert np.all(frags.u + frags.v <= 1.0 + eps)
 
     @given(triangle, st.floats(0.1, 4.0))
+    @example((0.0, 0.0, 0.0, 2.225e-311, 1.0, 1.0), 2.0)  # subnormal area
     @settings(max_examples=100, deadline=None)
     def test_property_uniform_w_scale_invariant(self, verts, w):
         """Scaling all 1/w by a constant must not change u, v, or coverage."""
