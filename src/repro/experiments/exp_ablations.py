@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytic import opt_l2_result
+from repro.core.hierarchy import FRAME_BLOCK
 from repro.core.l1_cache import L1CacheConfig, L1CacheSim
 from repro.core.l1_prefetch import L1PairFetchSim
 from repro.core.l2_cache import L2CacheConfig, L2TextureCache, SetAssociativeL2Cache
@@ -166,9 +167,10 @@ def run_replacement(scale: Scale | None = None) -> ExperimentResult:
     l2 = L2TextureCache(L2CacheConfig(size_bytes=l2_bytes), trace.address_space)
     space = trace.address_space
     for frame in trace.frames:
-        sets = space.l1_set_indices(frame.refs, l1.config.n_sets)
-        res1 = l1.access_frame(frame.refs, frame.weights, sets)
-        l2.access_frame(res1.miss_refs)
+        for refs, weights in frame.blocks(FRAME_BLOCK):
+            sets = space.l1_set_indices(refs, l1.config.n_sets)
+            res1 = l1.access_frame(refs, weights, sets)
+            l2.access_frame(res1.miss_refs)
     searches = np.array(l2.policy.search_lengths or [0])
     data["clock_search"] = {
         "mean": float(searches.mean()),
@@ -258,15 +260,17 @@ def run_l2_associativity(scale: Scale | None = None) -> ExperimentResult:
         for name, _ in organizations
     }
     totals = {name: {"full": 0, "partial": 0, "miss": 0, "n": 0} for name, _ in organizations}
+    n_sets = L1CacheConfig(size_bytes=L1_LOW_BYTES).n_sets
     for frame in trace.frames:
-        sets = space.l1_set_indices(frame.refs, L1CacheConfig(size_bytes=L1_LOW_BYTES).n_sets)
-        for name, cache in organizations:
-            r1 = l1[name].access_frame(frame.refs, frame.weights, sets)
-            r2 = cache.access_frame(r1.miss_refs)
-            totals[name]["full"] += r2.full_hits
-            totals[name]["partial"] += r2.partial_hits
-            totals[name]["miss"] += r2.full_misses
-            totals[name]["n"] += r2.accesses
+        for refs, weights in frame.blocks(FRAME_BLOCK):
+            sets = space.l1_set_indices(refs, n_sets)
+            for name, cache in organizations:
+                r1 = l1[name].access_frame(refs, weights, sets)
+                r2 = cache.access_frame(r1.miss_refs)
+                totals[name]["full"] += r2.full_hits
+                totals[name]["partial"] += r2.partial_hits
+                totals[name]["miss"] += r2.full_misses
+                totals[name]["n"] += r2.accesses
 
     rows = []
     data = {}
@@ -375,14 +379,15 @@ def run_line_size(scale: Scale | None = None) -> ExperimentResult:
         base_misses = base_reads = base_tiles = 0
         pair_misses = pair_tiles = 0
         for frame in frames:
-            sets = space.l1_set_indices(frame.refs, config.n_sets)
-            b = base.access_frame(frame.refs, frame.weights, sets)
-            p = pair.access_frame(frame.refs, frame.weights)
-            base_misses += b.misses
-            base_reads += b.texel_reads
-            base_tiles += b.misses  # one tile per miss
-            pair_misses += p.misses
-            pair_tiles += p.tiles_downloaded
+            for refs, weights in frame.blocks(FRAME_BLOCK):
+                sets = space.l1_set_indices(refs, config.n_sets)
+                b = base.access_frame(refs, weights, sets)
+                p = pair.access_frame(refs, weights)
+                base_misses += b.misses
+                base_reads += b.texel_reads
+                base_tiles += b.misses  # one tile per miss
+                pair_misses += p.misses
+                pair_tiles += p.tiles_downloaded
 
         data[workload] = {
             "base_miss_rate": base_misses / max(base_reads, 1),
@@ -516,10 +521,11 @@ def run_l1_associativity(scale: Scale | None = None) -> ExperimentResult:
         sim = L1CacheSim(config)
         misses = reads = 0
         for frame in frames:
-            sets = space.l1_set_indices(frame.refs, config.n_sets)
-            res = sim.access_frame(frame.refs, frame.weights, sets)
-            misses += res.misses
-            reads += res.texel_reads
+            for refs, weights in frame.blocks(FRAME_BLOCK):
+                sets = space.l1_set_indices(refs, config.n_sets)
+                res = sim.access_frame(refs, weights, sets)
+                misses += res.misses
+                reads += res.texel_reads
         rate = misses / max(reads, 1)
         data[ways] = rate
         rows.append([f"{ways}-way", f"{rate:.4f}"])

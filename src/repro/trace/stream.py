@@ -334,9 +334,8 @@ class _SpanFrame(FrameTrace):
     the cache holds. ``refs`` and ``weights`` concatenate the pieces on
     first read, for the consumers that still need the whole frame as one
     array: the analytic models (``analytic/``), the per-object locality
-    classification (``trace/locality.py::classify_locality``), the tenant
-    merge (``tenancy/schedule.py``), the direct L1 loops of
-    ``experiments/exp_ablations.py`` and ``trace_info tenants``.
+    classification (``trace/locality.py::classify_locality``) and the
+    tenant merge (``tenancy/schedule.py``).
     """
 
     def __init__(
