@@ -1,13 +1,14 @@
 """Bench target for the multi-tenant serving experiment.
 
 Runs the ``tenancy`` experiment — N in {2, 4, 8} tenant contexts
-(alternating Village and City) interleaved into one shared stream across
-the four L2 partitioning policies — and asserts its contracts: every
-sweep point reports per-tenant slowdowns and fairness, contention does
-not shrink as tenants are added to the unpartitioned L2, and utility
-partitioning beats the free-for-all on worst-tenant slowdown at one or
-more sweep points (the experiment itself asserts the stat-breakdown and
-determinism contracts).
+(alternating Terrain and Village) interleaved into one shared stream
+across the four L2 partitioning policies — and asserts its contracts:
+every sweep point reports per-tenant slowdowns and fairness, contention
+does not shrink as tenants are added to the unpartitioned L2, and at two
+tenants the best partitioned policy beats the free-for-all on
+worst-tenant slowdown by at least 0.01 (the experiment itself asserts
+the stat-breakdown and determinism contracts). Utility's margin over the
+free-for-all is recorded, not asserted.
 
 Results land in ``BENCH_tenancy.json`` at the repo root so successive
 runs leave a trajectory of the contention and fairness numbers.
@@ -42,8 +43,14 @@ def test_tenancy_contention_and_fairness(benchmark, run_bench_experiment):
             f"added: {dict(zip(counts, worst_none))}"
         )
 
-    margins = result.data["utility_vs_none_margins"]
-    assert max(margins.values()) > -1e-9
+    worst_n2 = {p: max(points[f"n2_{p}"]["slowdowns"]) for p in policies}
+    best_margin = worst_n2["none"] - min(
+        worst_n2[p] for p in policies if p != "none"
+    )
+    assert best_margin >= 0.01, (
+        f"no partitioned policy beat the free-for-all at N=2 by 0.01: "
+        f"{worst_n2}"
+    )
 
     ARTIFACT.write_text(
         json.dumps(
@@ -52,7 +59,8 @@ def test_tenancy_contention_and_fairness(benchmark, run_bench_experiment):
                 "scale": result.scale_name,
                 "l2": result.data["l2"],
                 "points": points,
-                "utility_vs_none_margins": margins,
+                "best_vs_none": result.data["best_vs_none"],
+                "utility_vs_none_margins": result.data["utility_vs_none_margins"],
             },
             indent=2,
         )

@@ -1,9 +1,12 @@
 """Multi-tenant serving: contention and partitioning on a shared L2.
 
 A serving accelerator multiplexes N independent rendering contexts over
-one texture-cache hierarchy. This experiment merges N tenant traces
-(alternating Village and City contexts) into one shared stream with the
-seeded round-robin scheduler and sweeps the L2 partitioning policy:
+one texture-cache hierarchy. This experiment merges N tenant traces into
+one shared stream with the seeded round-robin scheduler and sweeps the
+L2 partitioning policy. The tenants alternate Terrain and Village: the
+Mosaic setting (arXiv 1804.11265) of a streaming tenant beside a
+cache-friendly one, where partitioning has something to protect. The
+policies are:
 
 * ``none`` — shared free-for-all; tenants evict each other at will;
 * ``static`` — equal per-tenant block quotas;
@@ -15,9 +18,11 @@ Fairness is measured against *isolated* baselines (each workload run
 alone on the same hierarchy): per-tenant slowdown, Jain's index over
 throughput (1/slowdown), and the worst tenant's P99 frame cost. Two
 contracts are asserted rather than reported: the per-tenant stat
-breakdown must sum exactly to the shared-run totals, and utility
-partitioning must beat the unpartitioned L2 on worst-tenant slowdown at
-one or more sweep points. A from-scratch rerun of one shared point
+breakdown must sum exactly to the shared-run totals, and at two tenants
+the best partitioned policy must beat the unpartitioned L2 on
+worst-tenant slowdown by at least :data:`MIN_PARTITION_MARGIN`.
+Utility's margin over "none" is reported at every N, not asserted: it
+reverses at eight tenants. A from-scratch rerun of one shared point
 proves the merged-stream simulation is deterministic.
 """
 
@@ -50,11 +55,17 @@ __all__ = ["run_tenancy"]
 #: Tenant counts swept (the paper's single-context runs are N=1).
 TENANT_COUNTS = (2, 4, 8)
 
-#: Tenant i runs WORKLOADS[i % len(WORKLOADS)] — an asymmetric mix.
-WORKLOADS = ("village", "city")
+#: Tenant i runs WORKLOADS[i % len(WORKLOADS)]: a streaming tenant
+#: (terrain) beside a cache-friendly one (Village).
+WORKLOADS = ("terrain", "village")
 
 #: Associativity of the way-partitioned L2 scenario.
 TOTAL_WAYS = 8
+
+#: Least worst-tenant slowdown margin of the best partitioned policy over
+#: "none" at two tenants. Over scene seeds 1-10 at bench scale the margins
+#: are 0.039-0.070 with an IQR of at most 0.0013 (DESIGN §11).
+MIN_PARTITION_MARGIN = 0.01
 
 
 def _shared_config(
@@ -158,18 +169,22 @@ def run_tenancy(scale: Scale | None = None) -> ExperimentResult:
             ]
         )
 
-    # Contract: utility partitioning beats the unpartitioned free-for-all
-    # on worst-tenant slowdown somewhere in the sweep.
-    margins = [
-        worst_sd[(n, "none")] - worst_sd[(n, "utility")] for n in TENANT_COUNTS
-    ]
-    if max(margins) <= -1e-9:
+    # Contract: at two tenants the best partitioned policy beats the
+    # unpartitioned free-for-all on worst-tenant slowdown.
+    n = TENANT_COUNTS[0]
+    partitioned = [p for p in POLICIES if p != "none"]
+    best = min(partitioned, key=lambda p: worst_sd[(n, p)])
+    best_margin = worst_sd[(n, "none")] - worst_sd[(n, best)]
+    if best_margin < MIN_PARTITION_MARGIN:
         raise AssertionError(
-            "utility partitioning never beat the unpartitioned L2 on "
-            f"worst-tenant slowdown: margins={margins}"
+            f"at N={n} the best partitioned policy ({best}) beat the "
+            f"unpartitioned L2 on worst-tenant slowdown by {best_margin:.4f}, "
+            f"under {MIN_PARTITION_MARGIN}"
         )
+    data["best_vs_none"] = {"tenants": n, "policy": best, "margin": best_margin}
     data["utility_vs_none_margins"] = {
-        str(n): m for n, m in zip(TENANT_COUNTS, margins)
+        str(n): worst_sd[(n, "none")] - worst_sd[(n, "utility")]
+        for n in TENANT_COUNTS
     }
 
     # Determinism proof: re-simulate the largest unpartitioned point from
@@ -189,13 +204,13 @@ def run_tenancy(scale: Scale | None = None) -> ExperimentResult:
         f"({kb(l2_bytes)} at this scale), TLB {tlb_entries} entries; "
         "round-robin interleave, seed 0. Slowdowns are against each "
         "workload run alone on the same hierarchy. The per-tenant stat "
-        "breakdown sums exactly to the shared totals, and utility "
-        "partitioning beats the free-for-all on worst-tenant slowdown "
-        "(both asserted)."
+        "breakdown sums exactly to the shared totals, and at N=2 the best "
+        f"partitioned policy ({best}) beats the free-for-all on worst-tenant "
+        f"slowdown by {best_margin:.3f} (both asserted)."
     )
     return ExperimentResult(
         experiment_id="tenancy",
-        title="Multi-tenant serving contention (village+city mix)",
+        title="Multi-tenant serving contention (terrain+village mix)",
         text=format_table(
             [
                 "tenants",
