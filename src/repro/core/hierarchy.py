@@ -648,7 +648,14 @@ class MultiLevelTextureCache:
                         tlb_acc[t or 0] += [
                             getattr(tlb_res, c) for c in FRAME_TLB_COLUMNS
                         ]
-                    l2_res = self._l2_of(t).access_blocks(gids[s:e], subs[s:e])
+                    # Read per run, not captured at construction, so an L2
+                    # swapped in afterwards (the test oracle) is what runs.
+                    l2 = (
+                        self.l2
+                        if t is None or self.tenancy.policy == "none"
+                        else self.l2.parts[t]
+                    )
+                    l2_res = l2.access_blocks(gids[s:e], subs[s:e])
                     l2_acc[t or 0] += [getattr(l2_res, c) for c in FRAME_L2_COLUMNS]
                 part.l2 = L2FrameResult(*l2_acc.sum(axis=0).tolist())
                 if self.tlb is not None:
@@ -697,17 +704,6 @@ class MultiLevelTextureCache:
             (int(miss_tenant[s]), s, e) for s, e in zip(cuts, cuts[1:]) if s < e
         ]
         return counts, runs
-
-    def _l2_of(self, tenant: int | None):
-        """The L2 serving ``tenant`` (None: an untenanted run).
-
-        Looked up on every call rather than captured at construction, so
-        an L2 swapped in afterwards (the test oracle swaps them all) is
-        the one that runs.
-        """
-        if tenant is None or self.tenancy.policy == "none":
-            return self.l2
-        return self.l2.parts[tenant]
 
     def run_trace(
         self,

@@ -64,7 +64,7 @@ TOTAL_WAYS = 8
 
 #: Least worst-tenant slowdown margin of the best partitioned policy over
 #: "none" at two tenants. Over scene seeds 1-10 at bench scale the margins
-#: are 0.039-0.070 with an IQR of at most 0.0013 (DESIGN §11).
+#: are 0.039-0.070 with an IQR of at most 0.0013 (DESIGN §11.5).
 MIN_PARTITION_MARGIN = 0.01
 
 
