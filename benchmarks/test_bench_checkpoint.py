@@ -21,6 +21,7 @@ from repro.experiments.simcache import build_config
 from repro.experiments.traces import get_trace
 from repro.reliability import checkpoint as ckpt
 from repro.texture.sampler import FilterMode
+from repro.trace.stream import open_trace
 
 ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_checkpoint.json"
 
@@ -38,10 +39,16 @@ def test_checkpoint_overhead_and_resume_identity(tmp_path, benchmark):
     path = tmp_path / "bench.ckpt"
 
     def run(checkpointed, resume=False):
-        sim = MultiLevelTextureCache(config, trace.address_space)
+        # A freshly opened trace, so the plain run computes like the
+        # checkpointed one instead of replaying an earlier run's L1 record
+        # (DESIGN §8.4); fingerprinting it CRC-checks every chunk before
+        # timing.
+        fresh = open_trace(trace.path)
+        fresh.fingerprint()
+        sim = MultiLevelTextureCache(config, fresh.address_space)
         start = time.perf_counter()
         result = sim.run_trace(
-            trace,
+            fresh,
             checkpoint_path=path if checkpointed else None,
             checkpoint_every=CHECKPOINT_EVERY if checkpointed else 0,
             resume=resume,

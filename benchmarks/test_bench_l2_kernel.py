@@ -25,6 +25,7 @@ from repro.experiments.config import Scale
 from repro.experiments.simcache import build_config
 from repro.experiments.traces import get_trace
 from repro.texture.sampler import FilterMode
+from repro.trace.stream import open_trace
 
 from tests.oracle import reference_hierarchy
 
@@ -33,6 +34,10 @@ MIN_SPEEDUP = 3.0
 
 
 def _run(trace, config, reference):
+    # A freshly opened trace, so no earlier run's L1 record serves this one
+    # (DESIGN §8.4); fingerprinting it CRC-checks every chunk before timing.
+    trace = open_trace(trace.path)
+    trace.fingerprint()
     make = reference_hierarchy if reference else MultiLevelTextureCache
     sim = make(config, trace.address_space)
     start = time.perf_counter()

@@ -17,7 +17,9 @@ A multi-tenant run attributes each block to its tenants and feeds each
 run of one tenant's L1 misses to the shared TLB and to that tenant's L2.
 VT's feedback pass collects each block's visible pages; the fault link
 and the VT engine then run once per frame, on the frame's totals and its
-pages in first-touch order.
+pages in first-touch order. A fresh simulator's plain run over a streamed
+trace may replay, instead of the set index and the L1, the L1 results the
+last run with the same L1 recorded on that trace (DESIGN §8.4).
 
 Without an L2, the same machinery models the pull architecture: every L1
 miss is a 64-byte download over AGP.
@@ -32,11 +34,12 @@ so a zero-rate model reproduces baseline numbers exactly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from repro.core.l1_cache import L1CacheConfig, L1CacheSim
+from repro.core.l1_cache import L1CacheConfig, L1CacheSim, L1FrameResult
 from repro.core.l2_cache import L2CacheConfig, L2FrameResult, L2TextureCache
 from repro.core.tlb import TextureTableTLB, TLBFrameResult
 from repro.raster.feedback import first_touch, page_requests
@@ -50,6 +53,7 @@ from repro.tenancy.address import tenant_of_refs
 from repro.tenancy.partition import PartitionedL2, TenancyConfig
 from repro.tenancy.stats import FRAME_TENANT_COLUMNS, TenantFrameStats
 from repro.texture.tiling import AddressSpace, L1_BLOCK_BYTES
+from repro.trace.stream import StreamingTrace
 from repro.trace.trace import FrameTrace, Trace
 from repro.vt.system import (
     FRAME_VT_FLOAT_COLUMNS,
@@ -528,6 +532,34 @@ def frames_from_columns(
     return frames
 
 
+@dataclass(frozen=True)
+class _L1Record:
+    """The L1 stage of one plain run over a streamed trace (DESIGN §8.4).
+
+    Keyed by the trace (held weakly, so the record never keeps it alive),
+    the L1's type and its config. ``frames`` holds each frame's per-block
+    L1 results, ``miss_refs`` included; ``l1_state`` is the L1's end state.
+    """
+
+    trace: weakref.ref
+    l1_type: type
+    l1_config: L1CacheConfig
+    frames: list[list[L1FrameResult]]
+    l1_state: dict
+
+    def serves(self, trace: Trace, sim: "MultiLevelTextureCache") -> bool:
+        return (
+            self.trace() is trace
+            and self.l1_type is type(sim.l1)
+            and self.l1_config == sim.config.l1
+        )
+
+
+#: The last recording run's L1 stage: one slot per process, replaced by
+#: the next recording run and never pickled (forked workers inherit a copy).
+_l1_record: _L1Record | None = None
+
+
 class MultiLevelTextureCache:
     """Stateful hierarchy simulator over one workload's address space."""
 
@@ -564,6 +596,11 @@ class MultiLevelTextureCache:
             if config.vt is not None
             else None
         )
+        # No frame has run and no state was restored: the L1 is cold, so
+        # only now may a run start from (or make) the L1 record.
+        self._fresh = True
+        # While a run records, the current frame's per-block L1 results.
+        self._l1_log: list[L1FrameResult] | None = None
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -586,44 +623,63 @@ class MultiLevelTextureCache:
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot_state` tree; inverse of the snapshot."""
+        """Restore a :meth:`snapshot_state` tree; inverse of the snapshot.
+
+        A tree that does not fit this configuration, by the components it
+        carries or by the shape of one of them, raises :class:`ValueError`
+        ("checkpoint does not match the configuration") naming the
+        component.
+        """
+        self._fresh = False
         if state.get("engine") != ENGINE:
             raise ValueError(
                 f"checkpoint was taken on the {state.get('engine')!r} engine "
                 f"but this simulator runs {ENGINE!r}"
             )
-        for name, component in (
+        components = (
+            ("l1", self.l1),
             ("l2", self.l2),
             ("tlb", self.tlb),
             ("link", self.link),
             ("vt", self.vt),
-        ):
+        )
+        for name, component in components:
             if (component is not None) != (name in state):
                 raise ValueError(
                     f"checkpoint does not match the configuration: "
                     f"{name!r} state is "
                     f"{'missing' if component is not None else 'unexpected'}"
                 )
-        self.l1.restore_state(state["l1"])
-        if self.l2 is not None:
-            self.l2.restore_state(state["l2"])
-        if self.tlb is not None:
-            self.tlb.restore_state(state["tlb"])
-        if self.link is not None:
-            self.link.restore_state(state["link"])
-        if self.vt is not None:
-            self.vt.restore_state(state["vt"])
+        for name, component in components:
+            if component is not None:
+                _restore_component(name, component, state[name])
 
     def run_frame(self, frame: FrameTrace) -> FrameCacheStats:
         """Simulate one frame (Fig 7 steps A-F), in blocks of
         :data:`FRAME_BLOCK` refs up to the L2 (see the module docstring)."""
+        self._fresh = False
+        return self._frame_stats(self._l1_stage(frame))
+
+    def _l1_stage(self, frame: FrameTrace):
+        """Set index → L1 over each block of ``frame``, lazily: yields
+        ``(refs, weights, L1FrameResult)`` per block, and logs each L1
+        result while a run records."""
         n_sets = self.config.l1.n_sets
-        parts = []
-        pages = []
         # An empty frame still yields one (empty) block.
         for refs, weights in frame.blocks(FRAME_BLOCK):
             sets = self.space.l1_set_indices(refs, n_sets)
             l1_res = self.l1.access_frame(refs, weights, sets)
+            if self._l1_log is not None:
+                self._l1_log.append(l1_res)
+            yield refs, weights, l1_res
+
+    def _frame_stats(self, blocks) -> FrameCacheStats:
+        """The stages below the L1 over one frame's ``_l1_stage`` blocks,
+        then the fault link and VT once per frame. ``refs`` and
+        ``weights`` are read only for tenant attribution and VT."""
+        parts = []
+        pages = []
+        for refs, weights, l1_res in blocks:
             part = FrameCacheStats(
                 texel_reads=l1_res.texel_reads,
                 l1_accesses=l1_res.accesses,
@@ -718,6 +774,12 @@ class MultiLevelTextureCache:
         mmap-backed :class:`~repro.trace.stream.StreamingTrace`, a lazy
         tenant merge): frames are consumed strictly one at a time by
         index, so an out-of-core trace is simulated in bounded memory.
+        The one thing a plain run keeps is the L1 record of a streamed
+        trace (DESIGN §8.4): a later run with the same L1 on the same
+        trace replays its L1 miss stream instead of recomputing it. It is
+        dropped once its miss stream exceeds what the trace's chunk cache
+        may map (:attr:`~repro.trace.stream.StreamingTrace.map_budget`,
+        32 MB at the default chunk length).
 
         With ``checkpoint_path`` and ``checkpoint_every > 0``, the full
         simulator state plus all completed frame stats are persisted
@@ -729,8 +791,7 @@ class MultiLevelTextureCache:
         :class:`~repro.errors.CorruptCheckpointWarning`.
         """
         if checkpoint_path is None:
-            frames = [self.run_frame(f) for f in trace.frames]
-            return TraceRunResult(config=self.config, frames=frames)
+            return self._run_plain(trace)
 
         from repro.reliability import checkpoint as ckpt
 
@@ -757,3 +818,67 @@ class MultiLevelTextureCache:
                     state=self.snapshot_state(),
                 )
         return TraceRunResult(config=self.config, frames=frames)
+
+    def _run_plain(self, trace: Trace) -> TraceRunResult:
+        """The plain (uncheckpointed) run, through the L1 record where it
+        may be used (DESIGN §8.4): a fresh, untenanted, VT-free simulator
+        over a :class:`StreamingTrace` in its own address space replays
+        the record made by the same L1 on the same trace, or else
+        computes and records its L1 stage. Any other run computes."""
+        global _l1_record
+        eligible = (
+            self._fresh
+            and self.tenancy is None
+            and self.vt is None
+            and isinstance(trace, StreamingTrace)
+            and self.space is trace.address_space
+        )
+        self._fresh = False
+        record = _l1_record
+        if eligible and record is not None and record.serves(trace, self):
+            frames = [
+                self._frame_stats((None, None, l1_res) for l1_res in blocks)
+                for blocks in record.frames
+            ]
+            _restore_component("l1", self.l1, record.l1_state)
+            return TraceRunResult(config=self.config, frames=frames)
+
+        recorded: list[list[L1FrameResult]] | None = None
+        if eligible:
+            # Free the old record before this run builds the next one.
+            _l1_record = None
+            recorded, n_misses, budget = [], 0, trace.map_budget
+        frames = []
+        try:
+            for frame in trace.frames:
+                if recorded is not None:
+                    self._l1_log = []
+                frames.append(self.run_frame(frame))
+                if recorded is not None:
+                    recorded.append(self._l1_log)
+                    n_misses += sum(r.misses for r in self._l1_log)
+                    if n_misses > budget:
+                        recorded = self._l1_log = None
+        finally:
+            self._l1_log = None
+        if recorded is not None:
+            _l1_record = _L1Record(
+                trace=weakref.ref(trace),
+                l1_type=type(self.l1),
+                l1_config=self.config.l1,
+                frames=recorded,
+                l1_state=self.l1.snapshot_state(),
+            )
+        return TraceRunResult(config=self.config, frames=frames)
+
+
+def _restore_component(name: str, component, tree) -> None:
+    """Restore one component's state tree, turning a tree of the wrong
+    shape (a missing key, a wrong type) into the typed mismatch error."""
+    try:
+        component.restore_state(tree)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"checkpoint does not match the configuration: {name!r} state "
+            f"is malformed ({exc.__class__.__name__}: {exc})"
+        ) from exc

@@ -127,7 +127,14 @@ def simulate_many(
             for i in todo:
                 results[i] = supervised[i]
         else:
+            # Stably grouped by (trace, L1), in first-appearance order, so
+            # each group's later points replay its first point's L1 record
+            # (DESIGN §8.3); results still land in ``points`` order.
+            groups: dict[tuple, list[int]] = {}
             for i in todo:
+                trace, config = points[i]
+                groups.setdefault((id(trace), config.l1), []).append(i)
+            for i in (i for group in groups.values() for i in group):
                 result = _simulate_point(*points[i])
                 simstore.save(points[i][0], points[i][1], result)
                 results[i] = result

@@ -286,7 +286,7 @@ class _ChunkCache:
 
     def __init__(self, trace: "StreamingTrace", capacity: int = 4):
         self._trace = trace
-        self._capacity = capacity
+        self.capacity = capacity
         self._cache: dict[str, np.ndarray] = {}
         self._verified: set[str] = set()
 
@@ -321,7 +321,7 @@ class _ChunkCache:
         # after eviction, without memmap's per-operation subclass hooks.
         arr = arr.view(np.ndarray)
         self._cache[name] = arr
-        while len(self._cache) > self._capacity:
+        while len(self._cache) > self.capacity:
             self._cache.pop(next(iter(self._cache)))
         return arr
 
@@ -474,6 +474,13 @@ class StreamingTrace(Trace):
                 self.path, "index arrays inconsistent with the manifest"
             )
         self._chunks = _ChunkCache(self)
+
+    @property
+    def map_budget(self) -> int:
+        """Most stream entries the chunk cache maps at once: its capacity
+        times ``chunk_refs`` (4M int64 entries, 32 MB, at the defaults).
+        A reader that keeps per-trace data sizes it against this."""
+        return self._chunks.capacity * self.chunk_refs
 
     # ------------------------------------------------------------------
     def _index(self, name: str) -> np.ndarray:

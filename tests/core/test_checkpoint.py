@@ -258,3 +258,27 @@ class TestDamageHandling:
 
     def test_missing_checkpoint_loads_as_none(self, tmp_path):
         assert ckpt.load_checkpoint(tmp_path / "absent.ckpt") is None
+
+
+class TestMalformedStateTree:
+    """A state tree of the wrong shape raises the typed mismatch error."""
+
+    def _state(self):
+        space = make_space()
+        sim = MultiLevelTextureCache(make_config("clock", faulty=False), space)
+        sim.run_frame(random_trace(space, seed=2).frames[0])
+        return space, sim.snapshot_state()
+
+    def test_partitioned_tlb_tree_is_rejected(self):
+        space, state = self._state()
+        state["tlb"] = {"parts": [state["tlb"], state["tlb"]]}
+        sim = MultiLevelTextureCache(make_config("clock", faulty=False), space)
+        with pytest.raises(ValueError, match="does not match the configuration.*'tlb'"):
+            sim.restore_state(state)
+
+    def test_l1_tree_without_mru_is_rejected(self):
+        space, state = self._state()
+        del state["l1"]["mru"]
+        sim = MultiLevelTextureCache(make_config("clock", faulty=False), space)
+        with pytest.raises(ValueError, match="does not match the configuration.*'l1'"):
+            sim.restore_state(state)

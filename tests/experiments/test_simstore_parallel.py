@@ -189,6 +189,35 @@ class TestParallelSweep:
         for s, p in zip(serial, parallel):
             assert s.frames == p.frames
 
+    def test_serial_sweep_runs_grouped_by_trace_and_l1(
+        self, fresh_store, monkeypatch
+    ):
+        """Config-major points over two traces run grouped by (trace, L1),
+        in first-appearance order, and come back in the caller's order."""
+        from repro.experiments import parallel
+
+        traces = [micro_trace(), get_trace("village", MICRO, FilterMode.POINT)]
+        points = [
+            (trace, build_config(l1_bytes=l1, l2_bytes=l2))
+            for l2 in (None, 64 * 1024)
+            for l1 in (2048, 1024)
+            for trace in traces
+        ]
+        ran = []
+        inner = parallel._simulate_point
+
+        def logged(trace, config):
+            ran.append((trace, config))
+            return inner(trace, config)
+
+        monkeypatch.setattr(parallel, "_simulate_point", logged)
+        results = simulate_many(points, jobs=1)
+        keys = [(id(t), c.l1) for t, c in points]
+        groups = list(dict.fromkeys(keys))
+        assert [(id(t), c.l1) for t, c in ran] == sorted(keys, key=groups.index)
+        for (trace, config), result in zip(points, results):
+            assert result.frames == simulate_directly(trace, config).frames
+
     def test_results_persisted_and_reused(self, fresh_store):
         points = self._points()
         simulate_many(points, jobs=4)
