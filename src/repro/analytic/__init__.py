@@ -3,9 +3,12 @@
 * :mod:`repro.analytic.stack_distance` — single-pass Mattson stack-distance
   profiling (Fenwick/Olken reference + vectorized merge) and deterministic
   spatial sampling;
-* :mod:`repro.analytic.mrc` — LRU miss-ratio curves for fully- and
-  set-associative L1/L2 geometries from one pass (exact per-set profiling,
-  optional set-sampling);
+* :mod:`repro.analytic.mrc` — LRU miss-ratio curves: a fully-associative
+  curve over the L2's block stream, and an L1 size sweep that runs one
+  :class:`~repro.core.l1_cache.L1CacheSim` per size in one pass over the
+  trace's blocks (optional set-sampling). Both take the L1 from the
+  simulator's block loop (:func:`~repro.core.hierarchy.l1_blocks`); this
+  package has no L1 engine of its own;
 * :mod:`repro.analytic.belady` — offline-optimal (Belady) L2 replacement,
   the lower bound every policy ablation is measured against;
 * :mod:`repro.analytic.histograms` — per-frame and per-§4-locality-class
@@ -28,7 +31,7 @@ from repro.analytic.mrc import (
     MissRatioCurve,
     PAPER_L1_SIZES,
     full_mrc,
-    l1_hit_mask,
+    l1_miss_stream,
     l1_mrc_sweep,
     l2_block_mrc,
     mrc_from_distances,
@@ -54,7 +57,7 @@ __all__ = [
     "full_mrc",
     "L1SweepPoint",
     "l1_mrc_sweep",
-    "l1_hit_mask",
+    "l1_miss_stream",
     "l2_block_mrc",
     "PAPER_L1_SIZES",
     "next_use_indices",

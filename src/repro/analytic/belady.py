@@ -23,7 +23,7 @@ import heapq
 
 import numpy as np
 
-from repro.core.l1_cache import L1CacheConfig
+from repro.analytic.mrc import l1_miss_stream
 from repro.core.l2_cache import L2CacheConfig, L2FrameResult
 from repro.trace.trace import Trace
 
@@ -131,16 +131,12 @@ def opt_l2_result(
 ) -> L2FrameResult:
     """Whole-animation OPT bound for a trace behind a given L1.
 
-    The L1 miss stream is derived analytically (exact, policy-independent)
-    and replayed under Belady replacement at the L2's block count.
+    The L1 miss stream (:func:`~repro.analytic.mrc.l1_miss_stream`, which
+    does not depend on the L2 policy) is translated once and replayed
+    under Belady replacement at the L2's block count.
     """
-    from repro.analytic.mrc import _trace_stream, l1_hit_mask
-
-    refs, _, _ = _trace_stream(trace)
-    miss_refs = refs[
-        ~l1_hit_mask(trace, L1CacheConfig(size_bytes=l1_bytes, ways=l1_ways))
-    ]
-    space = trace.address_space
-    gids = space.global_l2_ids(miss_refs, l2_config.l2_tile_texels)
-    _, _, subs = space.translate_l2(miss_refs, l2_config.l2_tile_texels)
+    miss_refs = l1_miss_stream(trace, l1_bytes, l1_ways)
+    gids, subs = trace.address_space.l2_addresses(
+        miss_refs, l2_config.l2_tile_texels
+    )
     return belady_l2(gids, subs, l2_config.n_blocks)

@@ -1,33 +1,22 @@
 """LRU miss-ratio curves from stack distances (Mattson et al., 1970).
 
 Fully-associative curves come straight from the stack-distance histogram:
-``misses(C) = cold + #{d >= C}``. Set-associative L1 geometries are
-profiled *per set*: LRU is a stack algorithm within each set, so exact
-per-set profiling reproduces the transaction-accurate
-:class:`~repro.core.l1_cache.L1CacheSim` result identically (the whole
-animation is one stream, matching the simulator's cross-frame state).
+``misses(C) = cold + #{d >= C}``. The L2's curve (:func:`l2_block_mrc`)
+profiles the L1 miss stream, as the paper's Fig 7 flow feeds it: the
+stream a cold :class:`~repro.core.l1_cache.L1CacheSim` yields block by
+block (:func:`l1_miss_stream`).
 
-:func:`l1_mrc_sweep` shares one pass over the trace across all cache
-sizes:
-
-* the packed reference stream, Morton set codes, frame ids and (when
-  sampling) the coarsest-set partition are computed once;
-* per size, one stable sort by set groups accesses by set while
-  preserving temporal order. For the paper's 1- and
-  2-way geometries the hit test then needs no distance counting at all:
-  within a set, an access hits a 1-way cache iff it extends the current
-  same-block *run*, and hits a 2-way cache iff additionally the same
-  block's previous run is exactly two runs back (stack distance 1 — the
-  single intervening run is the one distinct other block). That test is
-  the simulator's own kernel,
-  :func:`~repro.core.l1_cache.run_lru_misses`, started cold. General
-  associativities fall back to exact per-set stack distances over the
-  set-grouped stream (blocks never span sets, so windows stay inside one
-  set segment);
-* deterministic set-sampling (profile every k-th set of the coarsest
-  geometry; finer geometries' sets nest inside coarse sets, so the subset
-  stays exactly profilable at every size) trades a small, validated
-  estimate error for speed. ``sample=1.0`` is exact.
+Set-associative L1 geometries have no analytic engine of their own:
+:func:`l1_mrc_sweep` makes one pass over the trace's blocks, running one
+cold :class:`~repro.core.l1_cache.L1CacheSim` per cache size through the
+simulator's block loop (:func:`~repro.core.hierarchy.l1_blocks`). LRU is
+exact per set, so the sweep is the transaction-accurate result (the
+whole animation is one stream, matching the simulator's cross-frame
+state). Deterministic set-sampling (profile every k-th set of the
+coarsest geometry; finer geometries' sets nest inside coarse sets, so
+the subset stays exactly profilable at every size) filters each block
+before the sims run, trading a small, validated estimate error for
+speed. ``sample=1.0`` is exact.
 """
 
 from __future__ import annotations
@@ -37,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analytic.stack_distance import hash_sample_mask, stack_distances
-from repro.core.l1_cache import L1CacheConfig, run_lru_misses, sort_by_set
-from repro.trace.trace import Trace
+from repro.core.hierarchy import FRAME_BLOCK, l1_blocks
+from repro.core.l1_cache import L1CacheConfig, L1CacheSim
+from repro.texture.tiling import AddressSpace
+from repro.trace.trace import FrameTrace, Trace
 
 __all__ = [
     "MissRatioCurve",
@@ -46,7 +37,7 @@ __all__ = [
     "full_mrc",
     "L1SweepPoint",
     "l1_mrc_sweep",
-    "l1_hit_mask",
+    "l1_miss_stream",
     "l2_block_mrc",
     "PAPER_L1_SIZES",
 ]
@@ -160,37 +151,20 @@ class L1SweepPoint:
         return 1.0 - self.miss_rate
 
 
-def _grouped_misses(
-    refs: np.ndarray, codes: np.ndarray, config: L1CacheConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, miss)``: the set-grouped order and each slot's LRU miss.
-
-    ``codes`` are the Morton tile codes of a non-empty ``refs`` stream.
-    """
-    order, sets = sort_by_set(codes & np.int64(config.n_sets - 1), config.n_sets)
-    tags = refs[order]
-    if config.ways <= 2:
-        # The simulator's run kernel, starting from an empty cache.
-        empty = np.full(config.n_sets, -1, dtype=np.int64)
-        return order, run_lru_misses(tags, sets, config.ways, empty, empty.copy())
-    # General associativity: exact per-set stack distances. Blocks belong
-    # to exactly one set, so reuse windows never cross segment boundaries.
-    d = stack_distances(tags)
-    return order, (d < 0) | (d >= config.ways)
-
-
-def _trace_stream(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated (refs, weights, frame ids) for a whole animation."""
-    if not trace.frames:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    refs = np.concatenate([f.refs for f in trace.frames])
-    weights = np.concatenate([f.weights for f in trace.frames])
-    frame_of = np.repeat(
-        np.arange(len(trace.frames), dtype=np.int64),
-        [len(f.refs) for f in trace.frames],
+def _sampled_frame(
+    frame: FrameTrace, space: AddressSpace, coarse_sets: int, stride: int
+) -> FrameTrace:
+    """The frame's refs that fall in every ``stride``-th set of the
+    coarsest geometry, filtered block by block (the whole frame is never
+    read at once) and gathered so each sim runs one block, not many."""
+    refs, weights = [], []
+    for r, w in frame.blocks(FRAME_BLOCK):
+        keep = space.l1_set_indices(r, coarse_sets) % stride == 0
+        refs.append(r[keep])
+        weights.append(w[keep])
+    return FrameTrace(
+        np.concatenate(refs), np.concatenate(weights), frame.n_fragments
     )
-    return refs, weights, frame_of
 
 
 def l1_mrc_sweep(
@@ -206,87 +180,64 @@ def l1_mrc_sweep(
         sizes: cache sizes in bytes (default: the paper's Fig 9 sweep).
         ways: associativity (paper fixes 2; any value is supported).
         sample: fraction of the coarsest geometry's sets to profile;
-            1.0 is exact (bit-identical to :class:`L1CacheSim`).
+            1.0 is exact (the :class:`L1CacheSim` result).
     """
     if not 0.0 < sample <= 1.0:
         raise ValueError(f"sample must be in (0, 1], got {sample}")
     sizes = tuple(sizes) if sizes is not None else PAPER_L1_SIZES
     configs = [L1CacheConfig(size_bytes=s, ways=ways) for s in sizes]
+    sims = [L1CacheSim(c) for c in configs]
+    space = trace.address_space
     n_frames = len(trace.frames)
     coarse_sets = min(c.n_sets for c in configs)
-    keep = max(1, round(coarse_sets * sample))
-    if keep < coarse_sets:
-        # Sampled path: keep every stride-th set of the coarsest geometry,
-        # filtering each frame with the cheap low-bits set index so the full
-        # Morton codes are only computed on the kept subset.
-        stride = np.int64(coarse_sets // keep)
-        space = trace.address_space
-        refs_parts, weights_parts, counts = [], [], []
-        for f in trace.frames:
-            m = space.l1_set_indices(f.refs, coarse_sets) % stride == 0
-            refs_parts.append(f.refs[m])
-            weights_parts.append(f.weights[m])
-            counts.append(len(refs_parts[-1]))
-        if refs_parts:
-            refs = np.concatenate(refs_parts)
-            weights = np.concatenate(weights_parts)
-        else:
-            refs = np.empty(0, dtype=np.int64)
-            weights = np.empty(0, dtype=np.int64)
-        frame_of = np.repeat(np.arange(n_frames, dtype=np.int64), counts)
-    else:
-        refs, weights, frame_of = _trace_stream(trace)
-    n = len(refs)
-    if n == 0:
-        zeros = np.zeros(n_frames, dtype=np.int64)
-        return {
-            c.size_bytes: L1SweepPoint(
-                c.size_bytes, c.n_sets, c.ways, 0, 0, 0, zeros, zeros.copy()
-            )
-            for c in configs
-        }
-    codes = trace.address_space.l1_tile_codes(refs)
-    texel_reads = int(weights.sum())
-    frame_reads = np.bincount(
-        frame_of, weights=weights.astype(np.float64), minlength=n_frames
-    ).astype(np.int64)
+    stride = coarse_sets // max(1, round(coarse_sets * sample))
 
-    out: dict[int, L1SweepPoint] = {}
-    for config in configs:
-        order, miss_slots = _grouped_misses(refs, codes, config)
-        frame_misses = np.bincount(
-            frame_of[order][miss_slots], minlength=n_frames
-        ).astype(np.int64)
-        out[config.size_bytes] = L1SweepPoint(
+    frame_misses = np.zeros((len(configs), n_frames), dtype=np.int64)
+    frame_reads = np.zeros(n_frames, dtype=np.int64)
+    accesses = 0
+    for i, frame in enumerate(trace.frames):
+        if stride > 1:
+            frame = _sampled_frame(frame, space, coarse_sets, stride)
+        # Every sim takes block b before any takes block b + 1, so a block
+        # is read while it is hot and a spanning frame's chunks load once.
+        for blocks in zip(*(l1_blocks(frame, sim, space) for sim in sims)):
+            results = [res for _, _, res in blocks]
+            frame_reads[i] += results[0].texel_reads
+            accesses += results[0].accesses
+            frame_misses[:, i] += [res.misses for res in results]
+
+    texel_reads = int(frame_reads.sum())
+    return {
+        config.size_bytes: L1SweepPoint(
             size_bytes=config.size_bytes,
             n_sets=config.n_sets,
             ways=config.ways,
-            accesses=n,
+            accesses=accesses,
             texel_reads=texel_reads,
-            misses=int(miss_slots.sum()),
-            frame_misses=frame_misses,
+            misses=int(misses.sum()),
+            frame_misses=misses,
             frame_reads=frame_reads,
         )
-    return out
+        for config, misses in zip(configs, frame_misses)
+    }
 
 
-def l1_hit_mask(trace: Trace, config: L1CacheConfig) -> np.ndarray:
-    """Exact per-access L1 hit mask over the concatenated trace stream.
+def l1_miss_stream(trace: Trace, l1_bytes: int, l1_ways: int = 2) -> np.ndarray:
+    """The L2's input: a cold L1's miss refs over the whole animation, in
+    access order.
 
-    The analytic prediction is bit-identical to :class:`L1CacheSim`, so the
-    complement selects exactly the miss stream the L2 consumes (in original
-    temporal order).
+    A fresh :class:`L1CacheSim` runs through the simulator's block loop,
+    so frames are read block by block and only the misses are kept. The
+    stream does not depend on anything below the L1.
     """
-    refs, _, _ = _trace_stream(trace)
-    n = len(refs)
-    if n == 0:
-        return np.empty(0, dtype=bool)
-    order, miss = _grouped_misses(
-        refs, trace.address_space.l1_tile_codes(refs), config
-    )
-    hit = np.empty(n, dtype=bool)
-    hit[order] = ~miss
-    return hit
+    l1 = L1CacheSim(L1CacheConfig(size_bytes=l1_bytes, ways=l1_ways))
+    space = trace.address_space
+    parts = [
+        res.miss_refs
+        for frame in trace.frames
+        for _, _, res in l1_blocks(frame, l1, space)
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def l2_block_mrc(
@@ -299,13 +250,11 @@ def l2_block_mrc(
 ) -> MissRatioCurve:
     """Fully-associative LRU curve over the L2's global block-id stream.
 
-    The L1 miss stream feeding the L2 is policy-independent, so it is
-    derived analytically (exactly) and profiled in one stack-distance pass.
-    Capacities are physical block counts; the resulting hit ratio is the
-    *block-residency* rate — the sim's full + partial hits combined.
+    The L2 sees the L1 miss stream (:func:`l1_miss_stream`), profiled in
+    one stack-distance pass. Capacities are physical block counts; the
+    resulting hit ratio is the *block-residency* rate — the sim's full +
+    partial hits combined.
     """
-    config = L1CacheConfig(size_bytes=l1_bytes, ways=l1_ways)
-    refs, _, _ = _trace_stream(trace)
-    miss_refs = refs[~l1_hit_mask(trace, config)]
+    miss_refs = l1_miss_stream(trace, l1_bytes, l1_ways)
     gids = trace.address_space.global_l2_ids(miss_refs, l2_tile_texels)
     return full_mrc(gids, capacities_blocks, sample=sample)

@@ -68,6 +68,7 @@ __all__ = [
     "FrameCacheStats",
     "TraceRunResult",
     "MultiLevelTextureCache",
+    "l1_blocks",
     "FRAME_INT_COLUMNS",
     "FRAME_L2_COLUMNS",
     "FRAME_TLB_COLUMNS",
@@ -86,6 +87,22 @@ ENGINE = "batched"
 #: per int64 temporary, so a block's temporaries stay in a per-core L2
 #: (DESIGN §8.4).
 FRAME_BLOCK = 1 << 16
+
+
+def l1_blocks(frame: FrameTrace, l1: L1CacheSim, space: AddressSpace):
+    """Set index → L1 over each :data:`FRAME_BLOCK` block of ``frame``,
+    lazily: yields ``(refs, weights, L1FrameResult)`` per block.
+
+    The one loop that feeds an L1: the hierarchy's L1 stage, the analytic
+    models' L1 miss stream and sweep, and the ablations all run it.
+    ``space.l1_set_indices`` and ``l1.access_frame`` are looked up on the
+    objects passed in, per block, so wrapping either on an instance wraps
+    every call. An empty frame still yields one (empty) block.
+    """
+    n_sets = l1.config.n_sets
+    for refs, weights in frame.blocks(FRAME_BLOCK):
+        sets = space.l1_set_indices(refs, n_sets)
+        yield refs, weights, l1.access_frame(refs, weights, sets)
 
 
 @dataclass(frozen=True)
@@ -661,14 +678,9 @@ class MultiLevelTextureCache:
         return self._frame_stats(self._l1_stage(frame))
 
     def _l1_stage(self, frame: FrameTrace):
-        """Set index → L1 over each block of ``frame``, lazily: yields
-        ``(refs, weights, L1FrameResult)`` per block, and logs each L1
-        result while a run records."""
-        n_sets = self.config.l1.n_sets
-        # An empty frame still yields one (empty) block.
-        for refs, weights in frame.blocks(FRAME_BLOCK):
-            sets = self.space.l1_set_indices(refs, n_sets)
-            l1_res = self.l1.access_frame(refs, weights, sets)
+        """:func:`l1_blocks` over ``frame`` on this simulator's L1, logging
+        each L1 result while a run records."""
+        for refs, weights, l1_res in l1_blocks(frame, self.l1, self.space):
             if self._l1_log is not None:
                 self._l1_log.append(l1_res)
             yield refs, weights, l1_res

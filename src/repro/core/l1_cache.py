@@ -14,8 +14,14 @@ access continues the carried MRU's run if it repeats that tag). A 1-way
 access hits iff it continues a run; a 2-way access also hits when its tag
 heads the run two runs back in its set, the carried LRU/MRU standing in
 for a set's first/second run. A touched set's new MRU/LRU are the heads of
-its last two runs. :func:`run_lru_misses` needs no forward-fill, and the
-analytic layer (:mod:`repro.analytic.mrc`) runs the same kernel cold.
+its last two runs. :func:`run_lru_misses` needs no forward-fill.
+
+:class:`L1CacheSim` is the one engine for this L1: the hierarchy, the
+analytic models (:mod:`repro.analytic.mrc`) and the ablations all feed
+it block by block through :func:`repro.core.hierarchy.l1_blocks`, and
+only it calls the two kernels. (The two-tile-line ablation's
+:class:`~repro.core.l1_prefetch.L1PairFetchSim` models another line
+size.)
 
 General associativities (3 ways and up) use the recency-level kernel the
 TLB introduced (:meth:`repro.core.tlb.TextureTableTLB._access_lru_batched`),
@@ -40,10 +46,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.texture.tiling import L1_BLOCK_BYTES, set_index_dtype
 
-__all__ = [
-    "L1CacheConfig", "L1FrameResult", "L1CacheSim", "MAX_WAYS",
-    "run_lru_misses", "sort_by_set",
-]
+__all__ = ["L1CacheConfig", "L1FrameResult", "L1CacheSim", "MAX_WAYS"]
 
 #: Widest associativity the recency-level kernel handles; each way is one
 #: grouped forward-fill pass per frame.

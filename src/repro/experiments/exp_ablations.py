@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytic import opt_l2_result
-from repro.core.hierarchy import FRAME_BLOCK
+from repro.core.hierarchy import l1_blocks
 from repro.core.l1_cache import L1CacheConfig, L1CacheSim
 from repro.core.l1_prefetch import L1PairFetchSim
 from repro.core.l2_cache import L2CacheConfig, L2TextureCache, SetAssociativeL2Cache
@@ -167,9 +167,7 @@ def run_replacement(scale: Scale | None = None) -> ExperimentResult:
     l2 = L2TextureCache(L2CacheConfig(size_bytes=l2_bytes), trace.address_space)
     space = trace.address_space
     for frame in trace.frames:
-        for refs, weights in frame.blocks(FRAME_BLOCK):
-            sets = space.l1_set_indices(refs, l1.config.n_sets)
-            res1 = l1.access_frame(refs, weights, sets)
+        for _, _, res1 in l1_blocks(frame, l1, space):
             l2.access_frame(res1.miss_refs)
     searches = np.array(l2.policy.search_lengths or [0])
     data["clock_search"] = {
@@ -255,17 +253,12 @@ def run_l2_associativity(scale: Scale | None = None) -> ExperimentResult:
                 (f"{ways}-way set assoc", SetAssociativeL2Cache(config, space, ways))
             )
 
-    l1 = {
-        name: L1CacheSim(L1CacheConfig(size_bytes=L1_LOW_BYTES))
-        for name, _ in organizations
-    }
+    # The L1 miss stream does not depend on the L2: one L1 feeds them all.
+    l1 = L1CacheSim(L1CacheConfig(size_bytes=L1_LOW_BYTES))
     totals = {name: {"full": 0, "partial": 0, "miss": 0, "n": 0} for name, _ in organizations}
-    n_sets = L1CacheConfig(size_bytes=L1_LOW_BYTES).n_sets
     for frame in trace.frames:
-        for refs, weights in frame.blocks(FRAME_BLOCK):
-            sets = space.l1_set_indices(refs, n_sets)
+        for _, _, r1 in l1_blocks(frame, l1, space):
             for name, cache in organizations:
-                r1 = l1[name].access_frame(refs, weights, sets)
                 r2 = cache.access_frame(r1.miss_refs)
                 totals[name]["full"] += r2.full_hits
                 totals[name]["partial"] += r2.partial_hits
@@ -379,9 +372,7 @@ def run_line_size(scale: Scale | None = None) -> ExperimentResult:
         base_misses = base_reads = base_tiles = 0
         pair_misses = pair_tiles = 0
         for frame in frames:
-            for refs, weights in frame.blocks(FRAME_BLOCK):
-                sets = space.l1_set_indices(refs, config.n_sets)
-                b = base.access_frame(refs, weights, sets)
+            for refs, weights, b in l1_blocks(frame, base, space):
                 p = pair.access_frame(refs, weights)
                 base_misses += b.misses
                 base_reads += b.texel_reads
@@ -521,9 +512,7 @@ def run_l1_associativity(scale: Scale | None = None) -> ExperimentResult:
         sim = L1CacheSim(config)
         misses = reads = 0
         for frame in frames:
-            for refs, weights in frame.blocks(FRAME_BLOCK):
-                sets = space.l1_set_indices(refs, config.n_sets)
-                res = sim.access_frame(refs, weights, sets)
+            for _, _, res in l1_blocks(frame, sim, space):
                 misses += res.misses
                 reads += res.texel_reads
         rate = misses / max(reads, 1)

@@ -166,9 +166,10 @@ def _l2_section(trace, scale: Scale) -> tuple[str, dict]:
         (label, L2CacheConfig(size_bytes=size)) for label, size in labels_sizes
     ]
     capacities = [cfg.n_blocks for _, cfg in configs]
-    # Adapt the hash-sampling rate to the L1 miss-stream length.
-    probe = l2_block_mrc(trace, L1_LOW_BYTES, [max(capacities)])
-    rate = min(1.0, MRC_HASH_SAMPLE_TARGET / max(probe.accesses, 1))
+    # Adapt the hash-sampling rate to the L1 miss-stream length, which
+    # the (memoized) pull run counts.
+    n_misses = run_hierarchy(trace, l1_bytes=L1_LOW_BYTES).total_l1_misses
+    rate = min(1.0, MRC_HASH_SAMPLE_TARGET / max(n_misses, 1))
     curve = l2_block_mrc(trace, L1_LOW_BYTES, capacities, sample=rate)
 
     rows = []

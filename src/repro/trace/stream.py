@@ -26,9 +26,10 @@ counterpart: a :class:`~repro.trace.trace.Trace` whose lazy ``frames``
 copy nothing. A frame inside one chunk is a pair of read-only views of
 that mmap'd chunk; a frame that crosses chunk edges hands out its
 per-chunk views one at a time (:meth:`FrameTrace.blocks`). The simulator
-(L1, TLB, L2, VT and tenant attribution), the texel-read count, the
-fingerprint, the writer, the working-set and frame-distance analyses and
-the push and streaming-architecture drivers all walk those blocks. The
+(L1, TLB, L2, VT and tenant attribution), the analytic L1 sweep and L1
+miss stream, the texel-read count, the fingerprint, the writer, the
+working-set and frame-distance analyses and the push and
+streaming-architecture drivers all walk those blocks. The
 frame concatenates its views only when a consumer reads its whole
 ``refs`` or ``weights`` (the :class:`_SpanFrame` docstring lists them).
 Each chunk's CRC is verified once, on first touch. A corrupt chunk is
@@ -333,7 +334,9 @@ class _SpanFrame(FrameTrace):
     a time, so simulating the frame copies nothing and maps no more than
     the cache holds. ``refs`` and ``weights`` concatenate the pieces on
     first read, for the consumers that still need the whole frame as one
-    array: the analytic models (``analytic/``), the per-object locality
+    array: the reuse-distance histograms
+    (``analytic/histograms.py::reuse_distance_histograms``, whose Mattson
+    distances need the whole stream), the per-object locality
     classification (``trace/locality.py::classify_locality``) and the
     tenant merge (``tenancy/schedule.py``).
     """

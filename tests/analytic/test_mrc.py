@@ -1,18 +1,50 @@
-"""Miss-ratio curves: hand cases plus exact agreement with the simulator."""
+"""Miss-ratio curves: hand cases plus exact agreement with the per-access
+reference L1 (``tests/oracle``), on a trace whose frames span chunks."""
 
 import numpy as np
 import pytest
 
+from repro.analytic.belady import belady_l2, opt_l2_result
 from repro.analytic.mrc import (
     PAPER_L1_SIZES,
     full_mrc,
-    l1_hit_mask,
+    l1_miss_stream,
     l1_mrc_sweep,
     l2_block_mrc,
     mrc_from_distances,
 )
-from repro.core.l1_cache import L1CacheConfig, L1CacheSim
+from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
+from repro.trace.stream import _SpanFrame, open_trace, save_stream
+
+from tests.oracle import ReferenceL1
+
+
+@pytest.fixture(scope="module")
+def spanning_tri(micro_trace_tri, tmp_path_factory):
+    """The trilinear micro trace rewritten in small chunks, so every frame
+    spans several chunks (and runs as several L1 blocks)."""
+    path = tmp_path_factory.mktemp("spanning") / "tri.stream"
+    save_stream(micro_trace_tri, path, chunk_refs=10_000)
+    trace = open_trace(path)
+    assert all(isinstance(f, _SpanFrame) for f in trace.frames)
+    return trace
+
+
+def _oracle_frames(trace, config, keep_stride=1, coarse_sets=1):
+    """Per-frame results of the per-access reference L1, cold, over whole
+    frames; with ``keep_stride > 1`` only over the refs in every
+    ``keep_stride``-th set of a ``coarse_sets``-set geometry."""
+    oracle = ReferenceL1(config)
+    space = trace.address_space
+    results = []
+    for frame in trace.frames:
+        refs, weights = frame.refs, frame.weights
+        kept = (space.l1_tile_codes(refs) % coarse_sets) % keep_stride == 0
+        refs, weights = refs[kept], weights[kept]
+        sets = space.l1_set_indices(refs, config.n_sets)
+        results.append(oracle.access_frame(refs, weights, sets))
+    return results
 
 
 class TestFullMrc:
@@ -57,24 +89,46 @@ class TestFullMrc:
 
 class TestL1Sweep:
     @pytest.mark.parametrize("ways", [1, 2, 4])
-    def test_exact_sweep_matches_simulator(self, micro_trace_tri, ways):
-        trace = micro_trace_tri
+    def test_exact_sweep_matches_simulator(self, spanning_tri, ways):
+        # The reference is the per-access oracle, not L1CacheSim, which
+        # the sweep itself runs.
+        trace = spanning_tri
         sizes = [2 * 1024, 8 * 1024]
         sweep = l1_mrc_sweep(trace, sizes, ways=ways)
         for size in sizes:
-            sim = L1CacheSim(L1CacheConfig(size_bytes=size, ways=ways))
-            space = trace.address_space
-            misses = 0
-            frame_misses = []
-            for frame in trace.frames:
-                sets = space.l1_set_indices(frame.refs, sim.config.n_sets)
-                res = sim.access_frame(frame.refs, frame.weights, sets)
-                misses += res.misses
-                frame_misses.append(res.misses)
+            want = _oracle_frames(trace, L1CacheConfig(size_bytes=size, ways=ways))
             point = sweep[size]
-            assert point.misses == misses
-            assert point.frame_misses.tolist() == frame_misses
+            assert point.misses == sum(r.misses for r in want)
+            assert point.frame_misses.tolist() == [r.misses for r in want]
+            assert point.frame_reads.tolist() == [r.texel_reads for r in want]
+            assert point.accesses == sum(r.accesses for r in want)
             assert point.texel_reads == trace.total_texel_reads()
+
+    @pytest.mark.parametrize("ways", [1, 2, 4])
+    @pytest.mark.parametrize("sample", [0.25, 0.125])
+    def test_sampled_sweep_is_the_oracle_on_the_kept_sets(
+        self, spanning_tri, sample, ways
+    ):
+        # Set sampling keeps every stride-th set of the coarsest geometry;
+        # each size's point is then exact on that filtered stream.
+        trace = spanning_tri
+        sizes = [2 * 1024, 8 * 1024]
+        sweep = l1_mrc_sweep(trace, sizes, ways=ways, sample=sample)
+        coarse = L1CacheConfig(size_bytes=sizes[0], ways=ways).n_sets
+        stride = coarse // round(coarse * sample)
+        assert stride > 1
+        for size in sizes:
+            want = _oracle_frames(
+                trace,
+                L1CacheConfig(size_bytes=size, ways=ways),
+                keep_stride=stride,
+                coarse_sets=coarse,
+            )
+            point = sweep[size]
+            assert point.frame_misses.tolist() == [r.misses for r in want]
+            assert point.frame_reads.tolist() == [r.texel_reads for r in want]
+            assert point.accesses == sum(r.accesses for r in want)
+            assert point.texel_reads == sum(r.texel_reads for r in want)
 
     def test_monotone_in_size(self, micro_trace):
         sweep = l1_mrc_sweep(micro_trace, PAPER_L1_SIZES)
@@ -93,42 +147,45 @@ class TestL1Sweep:
             l1_mrc_sweep(micro_trace, [2048], sample=0.0)
 
 
-class TestL1HitMask:
-    def test_complement_is_the_sim_miss_stream(self, micro_trace):
-        trace = micro_trace
-        config = L1CacheConfig(size_bytes=2 * 1024)
-        sim = L1CacheSim(config)
-        space = trace.address_space
-        sim_miss_refs = []
-        for frame in trace.frames:
-            sets = space.l1_set_indices(frame.refs, config.n_sets)
-            sim_miss_refs.append(
-                sim.access_frame(frame.refs, frame.weights, sets).miss_refs
-            )
-        sim_miss_refs = np.concatenate(sim_miss_refs)
-        refs = np.concatenate([f.refs for f in trace.frames])
-        analytic = refs[~l1_hit_mask(trace, config)]
-        assert np.array_equal(analytic, sim_miss_refs)
-
+class TestL1MissStream:
     @pytest.mark.parametrize("ways", [1, 2])
     @pytest.mark.parametrize("n_sets", [1, 16, 128])
-    def test_equals_sim_miss_stream_per_geometry(self, micro_trace_tri, ways, n_sets):
-        # One kernel serves both layers: the cold analytic pass over the
-        # whole animation is the simulator's frame-by-frame miss stream.
-        trace = micro_trace_tri
-        config = L1CacheConfig(size_bytes=n_sets * ways * 64, ways=ways)
-        sim = L1CacheSim(config)
+    def test_equals_oracle_miss_stream(self, spanning_tri, ways, n_sets):
+        # The L2 models' input is the oracle L1's miss stream, and
+        # l2_block_mrc and opt_l2_result consume exactly that stream.
+        trace = spanning_tri
         space = trace.address_space
-        sim_miss_refs = np.concatenate(
-            [
-                sim.access_frame(
-                    f.refs, f.weights, space.l1_set_indices(f.refs, config.n_sets)
-                ).miss_refs
-                for f in trace.frames
-            ]
+        config = L1CacheConfig(size_bytes=n_sets * ways * 64, ways=ways)
+        want = np.concatenate([r.miss_refs for r in _oracle_frames(trace, config)])
+        assert np.array_equal(
+            l1_miss_stream(trace, config.size_bytes, ways), want
         )
-        refs = np.concatenate([f.refs for f in trace.frames])
-        assert np.array_equal(refs[~l1_hit_mask(trace, config)], sim_miss_refs)
+
+        caps = [16, 256]
+        curve = l2_block_mrc(trace, config.size_bytes, caps, l1_ways=ways)
+        expect = full_mrc(space.global_l2_ids(want, 16), caps)
+        assert curve.accesses == expect.accesses == len(want)
+        assert curve.misses.tolist() == expect.misses.tolist()
+
+        l2 = L2CacheConfig(size_bytes=64 * 1024)
+        gids, subs = space.l2_addresses(want, l2.l2_tile_texels)
+        assert opt_l2_result(
+            trace, config.size_bytes, l2, l1_ways=ways
+        ) == belady_l2(gids, subs, l2.n_blocks)
+
+
+def test_models_never_read_a_span_frames_whole_stream(spanning_tri, monkeypatch):
+    # Each model walks frames block by block; none assembles a frame that
+    # spans chunks.
+    def whole(self):
+        raise AssertionError("read a span frame's whole refs/weights")
+
+    monkeypatch.setattr(_SpanFrame, "refs", property(whole))
+    monkeypatch.setattr(_SpanFrame, "weights", property(whole))
+    l1_mrc_sweep(spanning_tri, [2 * 1024, 8 * 1024])
+    l1_mrc_sweep(spanning_tri, [2 * 1024, 8 * 1024], sample=0.25)
+    l2_block_mrc(spanning_tri, 2 * 1024, [64])
+    opt_l2_result(spanning_tri, 2 * 1024, L2CacheConfig(size_bytes=64 * 1024))
 
 
 class TestL2BlockMrc:
