@@ -13,7 +13,7 @@ from repro.analytic.mrc import (
     l2_block_mrc,
     mrc_from_distances,
 )
-from repro.core.l1_cache import L1CacheConfig
+from repro.core.l1_cache import L1CacheConfig, L1CacheSim
 from repro.core.l2_cache import L2CacheConfig
 from repro.trace.stream import _SpanFrame, open_trace, save_stream
 
@@ -147,10 +147,32 @@ class TestL1Sweep:
             l1_mrc_sweep(micro_trace, [2048], sample=0.0)
 
 
-class TestL1MissStream:
+class TestL1HitMask:
+    """The L1's hit/miss split: its miss side, ``l1_miss_stream``, is the
+    input of every L2 model."""
+
+    def test_complement_is_the_sim_miss_stream(self, micro_trace):
+        # The refs the L1 does not hit, read block by block, are the refs
+        # a whole-frame L1CacheSim run reports as misses.
+        trace = micro_trace
+        config = L1CacheConfig(size_bytes=2 * 1024)
+        sim = L1CacheSim(config)
+        space = trace.address_space
+        sim_miss_refs = np.concatenate(
+            [
+                sim.access_frame(
+                    f.refs, f.weights, space.l1_set_indices(f.refs, config.n_sets)
+                ).miss_refs
+                for f in trace.frames
+            ]
+        )
+        assert np.array_equal(
+            l1_miss_stream(trace, config.size_bytes, config.ways), sim_miss_refs
+        )
+
     @pytest.mark.parametrize("ways", [1, 2])
     @pytest.mark.parametrize("n_sets", [1, 16, 128])
-    def test_equals_oracle_miss_stream(self, spanning_tri, ways, n_sets):
+    def test_equals_sim_miss_stream_per_geometry(self, spanning_tri, ways, n_sets):
         # The L2 models' input is the oracle L1's miss stream, and
         # l2_block_mrc and opt_l2_result consume exactly that stream.
         trace = spanning_tri
